@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check bench tables
+.PHONY: build test race vet fmt check bench smoke tables
 
 build:
 	$(GO) build ./...
@@ -8,11 +8,15 @@ build:
 test:
 	$(GO) test ./...
 
+# bench/ is a module of its own, out of reach of ./...: race and vet
+# cover it explicitly.
 race:
 	$(GO) test -race ./...
+	$(GO) test -C bench -race .
 
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench .
 
 fmt:
 	gofmt -l -w .
@@ -24,6 +28,11 @@ check:
 
 bench:
 	$(GO) test -run - -bench . -benchtime 1x ./...
+
+# smoke is 3 s of the end-to-end benchmark's per-packet workload; it
+# fails on any lost or misdelivered OSDU.
+smoke:
+	sh scripts/bench_smoke.sh
 
 # tables regenerates the EXPERIMENTS.md tables.
 tables:

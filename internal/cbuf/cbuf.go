@@ -283,6 +283,14 @@ func (r *Ring) Get() (OSDU, error) {
 }
 
 // TryGet is Get without blocking; ok reports whether an OSDU was returned.
+//
+// The scratch-buffer lifetime is a contract the transport's send pump
+// relies on: being the ring's only consumer, it segments an OSDU straight
+// out of the returned payload across several shard events and does not
+// call Get or TryGet again until the last fragment is encoded. Nothing
+// else may write the scratch buffer — Drain, DropNewest and Flush leave it
+// alone, and ResizeSlots replaces it with a larger one without touching
+// the slice already handed out.
 func (r *Ring) TryGet() (u OSDU, ok bool, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -332,6 +332,30 @@ func TestGetPayloadValidUntilSlotReuse(t *testing.T) {
 	}
 }
 
+// TestGotPayloadSurvivesEverythingButTheNextGet pins the lifetime the send
+// pump segments under: between one TryGet and the next, producers refilling
+// the freed slot, source-side discards, a flush and a slot resize all leave
+// the handed-out payload intact.
+func TestGotPayloadSurvivesEverythingButTheNextGet(t *testing.T) {
+	r := newRing(2, 8)
+	_ = r.Put(OSDU{Seq: 1, Payload: []byte("AAAAAAAA")})
+	u, ok, err := r.TryGet()
+	if !ok || err != nil {
+		t.Fatalf("TryGet: %v %v", ok, err)
+	}
+	_ = r.Put(OSDU{Seq: 2, Payload: []byte("BBBBBBBB")})
+	_ = r.Put(OSDU{Seq: 3, Payload: []byte("CCCCCCCC")}) // lands in the slot seq 1 vacated
+	r.DropNewest()
+	if err := r.ResizeSlots(64); err != nil {
+		t.Fatal(err)
+	}
+	_ = r.Put(OSDU{Seq: 4, Payload: bytes.Repeat([]byte("D"), 64)})
+	r.Flush()
+	if string(u.Payload) != "AAAAAAAA" {
+		t.Fatalf("payload handed out by TryGet changed to %q before the next Get", u.Payload)
+	}
+}
+
 func TestConcurrentProducerConsumer(t *testing.T) {
 	r := newRing(8, 16)
 	const n = 5000

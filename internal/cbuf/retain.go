@@ -23,8 +23,13 @@ type Retainer struct {
 	maxAge time.Duration
 	cap    int
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// entries is a circular buffer of n live entries starting at head, in
+	// sequence order. It grows by doubling (to at most cap when bounded);
+	// a slot vacated at the head keeps its payload backing array, which
+	// the next Keep to land on the slot overwrites in place.
 	entries []retained
+	head, n int
 	expired uint64
 }
 
@@ -41,33 +46,66 @@ func NewRetainer(clk clock.Clock, cap int, maxAge time.Duration) *Retainer {
 	return &Retainer{clk: clk, maxAge: maxAge, cap: cap}
 }
 
-// Keep copies u into the retained range. OSDUs must be kept in sequence
-// order (the send loop's natural order).
-func (t *Retainer) Keep(u OSDU) {
-	p := make([]byte, len(u.Payload))
-	copy(p, u.Payload)
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.entries = append(t.entries, retained{seq: u.Seq, event: u.Event, at: t.clk.Now(), payload: p})
-	t.pruneLocked()
+// at returns the i-th oldest live entry; caller holds mu.
+func (t *Retainer) at(i int) *retained {
+	return &t.entries[(t.head+i)%len(t.entries)]
 }
 
-// pruneLocked drops entries past the age bound and beyond the cap,
-// oldest-first; caller holds mu.
-func (t *Retainer) pruneLocked() {
-	i := 0
-	if t.maxAge > 0 {
-		now := t.clk.Now()
-		for i < len(t.entries) && now.Sub(t.entries[i].at) > t.maxAge {
-			i++
-		}
+// dropOldestLocked vacates k entries at the head; caller holds mu.
+func (t *Retainer) dropOldestLocked(k int) {
+	t.head = (t.head + k) % len(t.entries)
+	t.n -= k
+}
+
+// Keep copies u into the retained range. OSDUs must be kept in sequence
+// order (the send loop's natural order). A full retainer evicts its oldest
+// entry and reuses that entry's payload storage, so steady-state retention
+// neither shifts the history nor allocates.
+func (t *Retainer) Keep(u OSDU) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	now := t.clk.Now()
+	t.expireLocked(now)
+	if t.cap > 0 && t.n == t.cap {
+		t.dropOldestLocked(1)
+		t.expired++
 	}
-	if t.cap > 0 && len(t.entries)-i > t.cap {
-		i = len(t.entries) - t.cap
+	if t.n == len(t.entries) {
+		t.growLocked()
 	}
-	if i > 0 {
-		t.expired += uint64(i)
-		t.entries = append(t.entries[:0], t.entries[i:]...)
+	e := t.at(t.n)
+	e.seq, e.event, e.at = u.Seq, u.Event, now
+	e.payload = append(e.payload[:0], u.Payload...)
+	t.n++
+}
+
+// growLocked doubles the circular buffer, unrolling it to start at index
+// 0; caller holds mu and the buffer is full.
+func (t *Retainer) growLocked() {
+	size := max(2*len(t.entries), 16)
+	if t.cap > 0 {
+		size = min(size, t.cap)
+	}
+	grown := make([]retained, size)
+	for i := 0; i < t.n; i++ {
+		grown[i] = *t.at(i)
+	}
+	t.entries, t.head = grown, 0
+}
+
+// expireLocked drops entries past the age bound, oldest-first; caller
+// holds mu.
+func (t *Retainer) expireLocked(now time.Time) {
+	if t.maxAge <= 0 {
+		return
+	}
+	k := 0
+	for k < t.n && now.Sub(t.at(k).at) > t.maxAge {
+		k++
+	}
+	if k > 0 {
+		t.dropOldestLocked(k)
+		t.expired += uint64(k)
 	}
 }
 
@@ -76,12 +114,12 @@ func (t *Retainer) pruneLocked() {
 func (t *Retainer) DropThrough(seq core.OSDUSeq) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	i := 0
-	for i < len(t.entries) && t.entries[i].seq < seq {
-		i++
+	k := 0
+	for k < t.n && t.at(k).seq < seq {
+		k++
 	}
-	if i > 0 {
-		t.entries = append(t.entries[:0], t.entries[i:]...)
+	if k > 0 {
+		t.dropOldestLocked(k)
 	}
 }
 
@@ -92,14 +130,14 @@ func (t *Retainer) DropThrough(seq core.OSDUSeq) {
 func (t *Retainer) ReplayFrom(seq core.OSDUSeq) (out []OSDU, missed int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.pruneLocked()
-	first := seq
-	for _, e := range t.entries {
+	t.expireLocked(t.clk.Now())
+	for i := 0; i < t.n; i++ {
+		e := t.at(i)
 		if e.seq < seq {
 			continue
 		}
-		if len(out) == 0 && e.seq > first {
-			missed = int(e.seq - first)
+		if len(out) == 0 && e.seq > seq {
+			missed = int(e.seq - seq)
 		}
 		p := make([]byte, len(e.payload))
 		copy(p, e.payload)
@@ -113,10 +151,10 @@ func (t *Retainer) ReplayFrom(seq core.OSDUSeq) (out []OSDU, missed int) {
 func (t *Retainer) LastSeq() (core.OSDUSeq, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.entries) == 0 {
+	if t.n == 0 {
 		return 0, false
 	}
-	return t.entries[len(t.entries)-1].seq, true
+	return t.at(t.n - 1).seq, true
 }
 
 // Expired returns the cumulative count of retained OSDUs dropped by the
@@ -131,5 +169,5 @@ func (t *Retainer) Expired() uint64 {
 func (t *Retainer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.entries)
+	return t.n
 }

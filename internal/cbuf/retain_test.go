@@ -141,3 +141,60 @@ func TestRetainerAgeEviction(t *testing.T) {
 		t.Fatalf("ReplayFrom(0) = %+v missed=%d", out, missed)
 	}
 }
+
+// TestRetainerWrapsWithoutShiftingOrAllocating drives the circular layout
+// through several revolutions with every removal path interleaved — cap
+// eviction, DropThrough from the middle of a revolution, growth of an
+// unbounded retainer — and checks that the replay is the exact kept
+// suffix each time, that each payload is the one kept under that sequence
+// (a reused slot must not leak its previous tenant's bytes), and that a
+// full retainer's Keep reuses the evicted slot's storage.
+func TestRetainerWrapsWithoutShiftingOrAllocating(t *testing.T) {
+	payload := func(seq core.OSDUSeq) []byte {
+		return []byte{byte(seq), byte(seq >> 8), byte(seq), byte(seq >> 8)}[:1+seq%4]
+	}
+	check := func(rt *Retainer, first, next core.OSDUSeq) {
+		t.Helper()
+		out, missed := rt.ReplayFrom(0)
+		if len(out) != int(next-first) || missed != int(first) {
+			t.Fatalf("holding [%d,%d): replay of %d OSDUs, missed %d", first, next, len(out), missed)
+		}
+		for i, u := range out {
+			if want := first + core.OSDUSeq(i); u.Seq != want || string(u.Payload) != string(payload(want)) {
+				t.Fatalf("replay[%d] = seq %d payload %v, want seq %d payload %v", i, u.Seq, u.Payload, want, payload(want))
+			}
+		}
+		if last, ok := rt.LastSeq(); ok != (next > first) || (ok && last != next-1) {
+			t.Fatalf("LastSeq = %d,%v holding [%d,%d)", last, ok, first, next)
+		}
+	}
+	for _, slots := range []int{5, 0} { // bounded, then growing
+		rt := NewRetainer(sys, slots, 0)
+		var first, next core.OSDUSeq
+		for round := 0; round < 40; round++ {
+			for i := 0; i < 3; i++ {
+				rt.Keep(OSDU{Seq: next, Payload: payload(next)})
+				next++
+			}
+			if slots > 0 && int(next-first) > slots {
+				first = next - core.OSDUSeq(slots)
+			}
+			check(rt, first, next)
+			if round%3 == 2 {
+				first = min(first+2, next)
+				rt.DropThrough(first)
+				check(rt, first, next)
+			}
+		}
+	}
+
+	rt := NewRetainer(sys, 64, 0)
+	u := OSDU{Payload: make([]byte, 1024)}
+	keep := func() { rt.Keep(u); u.Seq++ }
+	for i := 0; i < 128; i++ {
+		keep()
+	}
+	if n := testing.AllocsPerRun(200, keep); n != 0 {
+		t.Errorf("Keep on a full retainer allocates %.1f per OSDU, want 0", n)
+	}
+}

@@ -14,6 +14,7 @@
 package netem
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -541,7 +542,10 @@ func (n *Network) RemoveGroup(gid core.HostID) {
 
 // Send injects a packet at its source host. It fails if the network is
 // not started or no route exists. Group destinations fan out to every
-// member. Delivery is asynchronous.
+// member. Delivery is asynchronous: the packet sits in link queues and a
+// host inbox after Send returns, so the emulator takes its own copy of the
+// borrowed payload (netif.Network.Send) — one per destination, shared by
+// every hop on the way there.
 func (n *Network) Send(p Packet) error {
 	if p.Dst >= GroupBase {
 		n.mu.Lock()
@@ -575,6 +579,7 @@ func (n *Network) Send(p Packet) error {
 		if h == nil {
 			return fmt.Errorf("netem: unknown host %v", p.Dst)
 		}
+		p.Payload = bytes.Clone(p.Payload)
 		h.deliver(p)
 		return nil
 	}
@@ -585,6 +590,7 @@ func (n *Network) Send(p Packet) error {
 	}
 	l := n.links[[2]core.HostID{p.Src, hop}]
 	n.mu.Unlock()
+	p.Payload = bytes.Clone(p.Payload)
 	l.enqueue(p)
 	return nil
 }
@@ -743,12 +749,10 @@ func (l *link) run() {
 		if l.cfg.BitErrorRate > 0 && len(p.Payload) > 0 {
 			bits := float64(len(p.Payload) * 8)
 			if l.rng.Float64() < 1-pow1m(l.cfg.BitErrorRate, bits) {
-				// Corrupt a copy so other references stay intact.
-				dup := make([]byte, len(p.Payload))
-				copy(dup, p.Payload)
-				bit := l.rng.Intn(len(dup) * 8)
-				dup[bit/8] ^= 1 << (bit % 8)
-				p.Payload = dup
+				// Flipped in place: the payload is the copy Send took for
+				// this destination, referenced by nothing else.
+				bit := l.rng.Intn(len(p.Payload) * 8)
+				p.Payload[bit/8] ^= 1 << (bit % 8)
 				p.Damaged = true
 				l.stats.Damaged++
 				l.si.damaged.Inc()

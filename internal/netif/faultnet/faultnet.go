@@ -12,6 +12,7 @@
 package faultnet
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -255,7 +256,9 @@ func (n *Network) Restore(h core.HostID) {
 
 // Send runs the fault pipeline and forwards survivors to the inner
 // substrate. Fault order: crash/partition, drop, corruption,
-// duplication, delay spike, reordering.
+// duplication, delay spike, reordering. Survivors and duplicates reach the
+// inner substrate before Send returns and so stay borrowed; a delayed or
+// held-back packet outlives the call and is copied (netif.Network.Send).
 func (n *Network) Send(p netif.Packet) error {
 	var buf [3]netif.Packet // p, its duplicate, a released held packet
 	out := buf[:0]
@@ -362,14 +365,19 @@ func (n *Network) decide(p netif.Packet, out *[]netif.Packet) {
 	}
 	if extra > 0 {
 		n.mu.Unlock()
+		// Sent after this call returns: the borrowed payload is the
+		// caller's again by then, so the delayed packet carries a copy.
+		p.Payload = bytes.Clone(p.Payload)
 		n.clk.AfterFunc(extra, func() { _ = n.inner.Send(p) })
 		return
 	}
 	var release *netif.Packet
 	if n.reorder > 0 && n.rng.Float64() < n.reorder && n.held == nil {
 		// Hold this packet; the next Send (or the flush timer) lets it out
-		// behind its successor.
+		// behind its successor — after this call returned, so it holds a
+		// copy of the borrowed payload.
 		cp := p
+		cp.Payload = bytes.Clone(p.Payload)
 		n.held = &cp
 		n.fi.reordered.Inc()
 		n.mu.Unlock()

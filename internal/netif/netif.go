@@ -69,10 +69,12 @@ func (p *Packet) Size() int { return len(p.Payload) + WireOverhead }
 // Handler receives packets delivered to a host. Handlers run on the
 // substrate's delivery goroutine; they must not block for long.
 //
-// The packet's Payload is valid only until the handler returns: a
-// substrate may recycle the backing buffer for the next datagram (the
-// UDP substrate's zero-allocation receive path does). A handler that
-// keeps payload bytes past its return must copy them.
+// The handler borrows the packet's Payload: it is valid only until the
+// handler returns, after which the substrate may recycle the backing
+// buffer for the next datagram (the UDP substrate's zero-allocation
+// receive path does). A handler that keeps payload bytes past its return
+// must copy them. Network.Send states the mirror-image rule for the
+// sending side.
 type Handler func(Packet)
 
 // BatchSender is an optional substrate capability: enqueue many packets
@@ -101,6 +103,13 @@ type Network interface {
 	// the members of that multicast group. Send enqueues and returns;
 	// delivery is asynchronous and may silently fail (loss, damage,
 	// queue overflow) exactly like a real network.
+	//
+	// Send borrows p.Payload: the bytes are the caller's again as soon as
+	// Send (or BatchSender.SendBatch) returns, and the transport encodes
+	// its next TPDU over them. A substrate — or a wrapper in front of one
+	// — that holds a packet past that point (a link queue, a delay or
+	// reorder stage) must copy the payload first; one that runs the
+	// destination's Handler before returning need not.
 	Send(p Packet) error
 	// SetHandler installs the packet receive handler for a local host.
 	SetHandler(id core.HostID, h Handler) error

@@ -85,6 +85,7 @@ func Run(t *testing.T, mk Factory) {
 	t.Run("SegmentedDelivery", func(t *testing.T) { testSegmentedDelivery(t, mk) })
 	t.Run("SegmentedDamage", func(t *testing.T) { testSegmentedDamage(t, mk) })
 	t.Run("HandlerDetachOnClose", func(t *testing.T) { testHandlerDetachOnClose(t, mk) })
+	t.Run("SendBorrowsPayload", func(t *testing.T) { SendBorrowsPayload(t, mk) })
 }
 
 // testDelivery: packets arrive intact with source, flow and priority
@@ -266,16 +267,22 @@ func segBurst(h *Harness, n, size int) []netif.Packet {
 	batch := make([]netif.Packet, n)
 	for i := range batch {
 		pl := make([]byte, size)
-		pl[0], pl[1] = byte(i>>8), byte(i)
-		for j := 2; j < size; j++ {
-			pl[j] = byte(i * 31)
-		}
+		fillIndexed(pl, i)
 		batch[i] = netif.Packet{
 			Src: h.HostA, Dst: h.HostB, Flow: core.VCID(100 + i%7),
 			Prio: netif.PrioGuaranteed, Payload: pl,
 		}
 	}
 	return batch
+}
+
+// fillIndexed writes packet i's pattern over pl: the index sealed into the
+// first two bytes, an index-derived fill behind it.
+func fillIndexed(pl []byte, i int) {
+	pl[0], pl[1] = byte(i>>8), byte(i)
+	for j := 2; j < len(pl); j++ {
+		pl[j] = byte(i * 31)
+	}
 }
 
 // sendAll pushes a burst through SendBatch when the substrate has it,
@@ -374,6 +381,76 @@ func testSegmentedDamage(t *testing.T, mk Factory) {
 	}
 	if damaged == N {
 		t.Fatalf("every segment damaged: attribution not per-packet")
+	}
+}
+
+// SendBorrowsPayload checks the sending half of the borrow rule
+// (netif.Network.Send): the caller overwrites its buffer the moment Send
+// or SendBatch returns — as the transport does, encoding the next TPDU
+// over the last — and every packet must still arrive with the bytes it was
+// sent with. It is exported so that a wrapper which holds packets back
+// (a delay, reorder or duplicate stage) can be put through it with those
+// faults armed: duplicates and reordering are tolerated, loss is not.
+func SendBorrowsPayload(t *testing.T, mk Factory) {
+	h := mk(t, Options{})
+	defer h.Close()
+	col := &collector{}
+	if err := h.B.SetHandler(h.HostB, col.handle); err != nil {
+		t.Fatalf("SetHandler: %v", err)
+	}
+	const N, size = 64, 512
+	scribble := func(buf []byte) {
+		for j := range buf {
+			buf[j] = 0xEE
+		}
+	}
+	pkt := func(buf []byte) netif.Packet {
+		return netif.Packet{Src: h.HostA, Dst: h.HostB, Flow: 3, Prio: netif.PrioGuaranteed, Payload: buf}
+	}
+	total := N
+	buf := make([]byte, size) // one buffer, reused for every Send
+	for i := 0; i < N; i++ {
+		fillIndexed(buf, i)
+		if err := h.A.Send(pkt(buf)); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+		scribble(buf)
+	}
+	if bs, ok := h.A.(netif.BatchSender); ok {
+		total = 2 * N
+		bufs := make([]byte, N*size)
+		batch := make([]netif.Packet, N)
+		for i := range batch {
+			b := bufs[i*size : (i+1)*size]
+			fillIndexed(b, N+i)
+			batch[i] = pkt(b)
+		}
+		if err := bs.SendBatch(batch); err != nil {
+			t.Fatalf("SendBatch: %v", err)
+		}
+		scribble(bufs)
+	}
+	seen := make(map[int]bool)
+	want := make([]byte, size)
+	check := func() bool {
+		for _, p := range col.snapshot() {
+			if len(p.Payload) != size {
+				t.Fatalf("%d-byte delivery, want %d", len(p.Payload), size)
+			}
+			i := int(p.Payload[0])<<8 | int(p.Payload[1])
+			if i >= total {
+				t.Fatalf("delivered bytes % x...: not what any packet was sent with — the payload was read after Send returned", p.Payload[:8])
+			}
+			fillIndexed(want, i)
+			if !p.Damaged && !bytes.Equal(p.Payload, want) {
+				t.Fatalf("packet %d delivered with bytes changed after Send returned", i)
+			}
+			seen[i] = true
+		}
+		return len(seen) == total
+	}
+	if !waitFor(5*time.Second, check) {
+		t.Fatalf("delivered %d of %d distinct packets", len(seen), total)
 	}
 }
 

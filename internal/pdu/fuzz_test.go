@@ -1,6 +1,8 @@
 package pdu
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -8,12 +10,11 @@ import (
 	"cmtos/internal/qos"
 )
 
-// FuzzDecode throws arbitrary byte strings at the wire decoder. Decode
-// must never panic and never over-allocate: any input is either a valid
-// message or a clean error. Seeds are marshalled messages of every kind
-// so the fuzzer starts from deep, checksum-valid inputs and mutates
-// field contents rather than spending its budget rediscovering the CRC.
-func FuzzDecode(f *testing.F) {
+// addSeeds gives a fuzz target the shared corpus: one marshalled message
+// of every kind, so the fuzzer starts from deep, checksum-valid inputs and
+// mutates field contents rather than spending its budget rediscovering the
+// CRC, plus a few structurally hostile strings.
+func addSeeds(f *testing.F) {
 	seeds := []Message{
 		&Data{
 			VC: 7, Seq: 42, OSDU: 3, Frag: 1, FragCount: 4, OSDUSize: 4000,
@@ -69,6 +70,13 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{byte(KindData), 0, 0, 0, 0})
 	f.Add([]byte{0xff, 0, 0, 0, 0, 0, 0, 0, 0})
+}
+
+// FuzzDecode throws arbitrary byte strings at the wire decoder. Decode
+// must never panic and never over-allocate: any input is either a valid
+// message or a clean error.
+func FuzzDecode(f *testing.F) {
+	addSeeds(f)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
@@ -86,6 +94,58 @@ func FuzzDecode(f *testing.F) {
 		}
 		if again.MessageKind() != m.MessageKind() {
 			t.Fatalf("kind changed across round trip: %v -> %v", m.MessageKind(), again.MessageKind())
+		}
+	})
+}
+
+// FuzzDecodeDataAck is the differential check on the in-place decoders:
+// for every input, DecodeData and DecodeAck must report exactly what Decode
+// reports — the same fields for a data or ack TPDU, the same error for a
+// damaged or truncated one — and ErrBadKind for an intact message of any
+// other kind.
+func FuzzDecodeDataAck(f *testing.F) {
+	addSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		var d Data
+		derr := DecodeData(data, &d)
+		a := Ack{Naks: make([]uint64, 1, 4)} // a dirty reused backing, as the transport keeps one
+		aerr := DecodeAck(data, &a)
+
+		wantD, wantA := ErrBadKind, ErrBadKind
+		if _, verr := verify(data); verr != nil {
+			wantD, wantA = err, err // damaged: no decoder may look past the trailer
+		} else if kind, _ := PeekKind(data); kind == KindData {
+			wantD = err
+		} else if kind == KindAck {
+			wantA = err
+		}
+		if derr != wantD || aerr != wantA {
+			t.Fatalf("Decode: %v; DecodeData: %v, want %v; DecodeAck: %v, want %v", err, derr, wantD, aerr, wantA)
+		}
+		if derr != nil && (d.VC != 0 || d.Seq != 0 || d.Payload != nil) {
+			t.Fatalf("DecodeData left fields behind on error: %+v", d)
+		}
+		if aerr != nil && (a.VC != 0 || a.CumSeq != 0 || len(a.Naks) != 0) {
+			t.Fatalf("DecodeAck left fields behind on error: %+v", a)
+		}
+		switch want := m.(type) {
+		case *Data:
+			if derr != nil {
+				t.Fatalf("Decode accepted a data TPDU that DecodeData refused: %v", derr)
+			}
+			if d.VC != want.VC || d.Seq != want.Seq || d.OSDU != want.OSDU || d.Frag != want.Frag ||
+				d.FragCount != want.FragCount || d.OSDUSize != want.OSDUSize || d.Event != want.Event ||
+				!d.SentAt.Equal(want.SentAt) || !bytes.Equal(d.Payload, want.Payload) {
+				t.Fatalf("DecodeData %+v, Decode %+v", d, *want)
+			}
+		case *Ack:
+			if aerr != nil {
+				t.Fatalf("Decode accepted an ack that DecodeAck refused: %v", aerr)
+			}
+			if a.VC != want.VC || a.CumSeq != want.CumSeq || a.Window != want.Window || !slices.Equal(a.Naks, want.Naks) {
+				t.Fatalf("DecodeAck %+v, Decode %+v", a, *want)
+			}
 		}
 	})
 }

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 	"time"
 
 	"cmtos/internal/core"
@@ -116,9 +117,15 @@ type Data struct {
 // MessageKind implements Message.
 func (d *Data) MessageKind() Kind { return KindData }
 
-// Marshal implements Message.
+// dataOverhead is the encoded size of a data TPDU beyond its payload: the
+// fixed header fields plus the CRC-32 trailer.
+const dataOverhead = 1 + 4 + 8 + 8 + 2 + 2 + 4 + 8 + 8 + 4 + 4
+
+// Marshal implements Message. The encoded size is known up front, so dst
+// grows at most once: Marshal(nil) costs one allocation, and a dst with
+// dataOverhead+len(Payload) spare capacity costs none.
 func (d *Data) Marshal(dst []byte) []byte {
-	w := writer{buf: dst}
+	w := writer{buf: slices.Grow(dst, dataOverhead+len(d.Payload))}
 	w.u8(uint8(KindData))
 	w.u32(uint32(d.VC))
 	w.u64(d.Seq)
@@ -133,20 +140,35 @@ func (d *Data) Marshal(dst []byte) []byte {
 	return w.trailer(dst)
 }
 
-func decodeData(r *reader) (*Data, error) {
-	d := &Data{
-		VC:   core.VCID(r.u32()),
-		Seq:  r.u64(),
-		OSDU: core.OSDUSeq(r.u64()),
-	}
+// decode fills d from a checksum-verified body positioned just past the
+// kind byte. Payload aliases the body.
+func (d *Data) decode(r *reader) error {
+	d.VC = core.VCID(r.u32())
+	d.Seq = r.u64()
+	d.OSDU = core.OSDUSeq(r.u64())
 	d.Frag = r.u16()
 	d.FragCount = r.u16()
 	d.OSDUSize = r.u32()
 	d.Event = core.EventPattern(r.u64())
 	d.SentAt = time.Unix(0, int64(r.u64()))
-	n := r.u32()
-	d.Payload = r.bytes(int(n))
-	return d, r.err
+	d.Payload = r.take(int(r.u32()))
+	return r.err
+}
+
+// DecodeData parses one data TPDU from buf into the caller's d without
+// allocating: the length, CRC-32 and truncation checks are Decode's, but
+// d.Payload aliases buf (valid only as long as buf is) instead of being
+// copied. A well-formed message of another kind is ErrBadKind. On error d
+// is left zeroed.
+func DecodeData(buf []byte, d *Data) error {
+	r, err := open(buf, KindData)
+	if err == nil {
+		err = d.decode(&r)
+	}
+	if err != nil {
+		*d = Data{}
+	}
+	return err
 }
 
 // Ack acknowledges data TPDUs for the error-correcting classes: CumSeq is
@@ -163,9 +185,9 @@ type Ack struct {
 // MessageKind implements Message.
 func (a *Ack) MessageKind() Kind { return KindAck }
 
-// Marshal implements Message.
+// Marshal implements Message; like Data's it sizes dst once.
 func (a *Ack) Marshal(dst []byte) []byte {
-	w := writer{buf: dst}
+	w := writer{buf: slices.Grow(dst, 1+4+8+4+2+8*len(a.Naks)+4)}
 	w.u8(uint8(KindAck))
 	w.u32(uint32(a.VC))
 	w.u64(a.CumSeq)
@@ -177,23 +199,38 @@ func (a *Ack) Marshal(dst []byte) []byte {
 	return w.trailer(dst)
 }
 
-func decodeAck(r *reader) (*Ack, error) {
-	a := &Ack{
-		VC:     core.VCID(r.u32()),
-		CumSeq: r.u64(),
-		Window: r.u32(),
-	}
+// decode fills a from a checksum-verified body positioned just past the
+// kind byte, appending the NAK list to a.Naks[:0].
+func (a *Ack) decode(r *reader) error {
+	a.VC = core.VCID(r.u32())
+	a.CumSeq = r.u64()
+	a.Window = r.u32()
+	a.Naks = a.Naks[:0]
 	n := int(r.u16())
-	if r.err == nil && n > 0 {
-		if n > r.remaining()/8 {
-			return nil, ErrTruncated
-		}
-		a.Naks = make([]uint64, n)
-		for i := range a.Naks {
-			a.Naks[i] = r.u64()
-		}
+	if r.err == nil && n > r.remaining()/8 {
+		return ErrTruncated
 	}
-	return a, r.err
+	for i := 0; i < n; i++ {
+		a.Naks = append(a.Naks, r.u64())
+	}
+	return r.err
+}
+
+// DecodeAck parses one acknowledgement TPDU from buf into the caller's a
+// with Decode's checks. The NAK list is appended to a.Naks[:0], so a
+// caller that keeps a across calls decodes without allocating; an ack
+// with no NAKs leaves a.Naks empty (nil if it was nil). A well-formed
+// message of another kind is ErrBadKind. On error a keeps only its Naks
+// backing.
+func DecodeAck(buf []byte, a *Ack) error {
+	r, err := open(buf, KindAck)
+	if err == nil {
+		err = a.decode(&r)
+	}
+	if err != nil {
+		*a = Ack{Naks: a.Naks[:0]}
+	}
+	return err
 }
 
 // Control is the connection-management TPDU, shared by every
@@ -510,39 +547,70 @@ func decodeOrch(r *reader) (*Orch, error) {
 	return o, r.err
 }
 
-// Decode parses one message from buf. It verifies the CRC-32 trailer and
-// returns ErrChecksum on corruption, so callers implement the "error
-// detection" half of every class of service by construction.
-func Decode(buf []byte) (Message, error) {
+// verify checks buf's minimum length and CRC-32 trailer and returns a
+// reader over the body (kind byte onward, trailer stripped).
+func verify(buf []byte) (reader, error) {
 	if len(buf) < 5 {
-		return nil, ErrTruncated
+		return reader{}, ErrTruncated
 	}
 	body, trailer := buf[:len(buf)-4], buf[len(buf)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {
-		return nil, ErrChecksum
+		return reader{}, ErrChecksum
 	}
-	r := &reader{buf: body}
-	kind := Kind(r.u8())
-	switch kind {
+	return reader{buf: body}, nil
+}
+
+// open verifies buf and consumes its kind byte, which must be want.
+func open(buf []byte, want Kind) (reader, error) {
+	r, err := verify(buf)
+	if err == nil && Kind(r.u8()) != want {
+		err = ErrBadKind
+	}
+	return r, err
+}
+
+// Decode parses one message from buf. It verifies the CRC-32 trailer and
+// returns ErrChecksum on corruption, so callers implement the "error
+// detection" half of every class of service by construction. The returned
+// message owns its bytes (payloads are copied out of buf); the transport's
+// per-packet path uses DecodeData and DecodeAck instead, which do not
+// allocate.
+func Decode(buf []byte) (Message, error) {
+	r, err := verify(buf)
+	if err != nil {
+		return nil, err
+	}
+	var m Message
+	switch kind := Kind(r.u8()); kind {
 	case KindData:
-		return decodeData(r)
+		d := &Data{}
+		if err = d.decode(&r); err == nil {
+			d.Payload = slices.Clone(d.Payload)
+		}
+		m = d
 	case KindAck:
-		return decodeAck(r)
+		a := &Ack{}
+		err = a.decode(&r)
+		m = a
 	case KindConnReq, KindConnConf, KindConnRej, KindDiscReq, KindDiscConf,
 		KindRenegReq, KindRenegConf, KindRenegRej,
 		KindRemoteConnReq, KindRemoteConnResult, KindRemoteDiscReq,
 		KindFlowOff, KindFlowOn, KindKeepalive, KindKeepaliveAck,
 		KindResumeReq, KindResumeConf:
-		return decodeControl(kind, r)
+		m, err = decodeControl(kind, &r)
 	case KindOrch:
-		return decodeOrch(r)
+		m, err = decodeOrch(&r)
 	case KindQoSReport:
-		return decodeQoSReport(r)
+		m, err = decodeQoSReport(&r)
 	case KindDatagram:
-		return decodeDatagram(r)
+		m, err = decodeDatagram(&r)
 	default:
 		return nil, ErrBadKind
 	}
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // PeekKind returns the kind byte of an encoded message without verifying
@@ -627,7 +695,7 @@ func (r *reader) take(n int) []byte {
 	if r.err != nil {
 		return nil
 	}
-	if r.remaining() < n {
+	if n < 0 || r.remaining() < n {
 		r.err = ErrTruncated
 		return nil
 	}
@@ -673,10 +741,6 @@ func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
 func (r *reader) bool() bool { return r.u8() != 0 }
 
 func (r *reader) bytes(n int) []byte {
-	if n < 0 {
-		r.err = ErrTruncated
-		return nil
-	}
 	b := r.take(n)
 	if b == nil {
 		return nil

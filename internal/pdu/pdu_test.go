@@ -416,3 +416,55 @@ func TestDatagramEmptyPayload(t *testing.T) {
 		t.Fatalf("payload = %v", got.Payload)
 	}
 }
+
+// TestDataAckCodecAllocations pins the per-TPDU allocation budget the
+// transport's data path is built on: a sized encode (one allocation into a
+// nil dst, none into a recycled one) and in-place decodes that allocate
+// nothing and alias, rather than copy, the caller's bytes.
+func TestDataAckCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	d := &Data{VC: 9, Seq: 4, OSDU: 2, FragCount: 1, OSDUSize: 1024, SentAt: time.Unix(5, 6), Payload: make([]byte, 1024)}
+	a := &Ack{VC: 9, CumSeq: 5, Naks: []uint64{2, 3}, Window: 16}
+	if got := len(d.Marshal(nil)); got != dataOverhead+len(d.Payload) {
+		t.Fatalf("encoded data TPDU is %d bytes, dataOverhead says %d", got, dataOverhead+len(d.Payload))
+	}
+	dst := make([]byte, 0, dataOverhead+len(d.Payload))
+	for name, c := range map[string]struct {
+		fn   func()
+		want float64
+	}{
+		"Data.Marshal(nil)":      {func() { _ = d.Marshal(nil) }, 1},
+		"Data.Marshal(recycled)": {func() { _ = d.Marshal(dst[:0]) }, 0},
+		"Ack.Marshal(nil)":       {func() { _ = a.Marshal(nil) }, 1},
+		"Ack.Marshal(recycled)":  {func() { _ = a.Marshal(dst[:0]) }, 0},
+	} {
+		if got := testing.AllocsPerRun(100, c.fn); got != c.want {
+			t.Errorf("%s allocates %.0f, want %.0f", name, got, c.want)
+		}
+	}
+
+	wire, ackWire := d.Marshal(nil), a.Marshal(nil)
+	var gotD Data
+	gotA := Ack{Naks: make([]uint64, 0, 8)}
+	if n := testing.AllocsPerRun(100, func() {
+		if DecodeData(wire, &gotD) != nil || DecodeAck(ackWire, &gotA) != nil {
+			t.Fatal("in-place decode failed")
+		}
+	}); n != 0 {
+		t.Errorf("DecodeData+DecodeAck allocate %.0f, want 0", n)
+	}
+	if &gotD.Payload[0] != &wire[dataOverhead-4] {
+		t.Error("DecodeData copied the payload instead of aliasing buf")
+	}
+	if gotD.Seq != d.Seq || gotD.OSDU != d.OSDU || !gotD.SentAt.Equal(d.SentAt) || !reflect.DeepEqual(gotA.Naks, a.Naks) || gotA.CumSeq != a.CumSeq {
+		t.Errorf("in-place decode: data %+v ack %+v", gotD, gotA)
+	}
+	if err := DecodeData(ackWire, &gotD); err != ErrBadKind || gotD.Payload != nil {
+		t.Errorf("DecodeData of an ack: err %v, payload %v; want ErrBadKind and a zeroed Data", err, gotD.Payload)
+	}
+	if err := DecodeAck(wire, &gotA); err != ErrBadKind || len(gotA.Naks) != 0 || cap(gotA.Naks) != 8 {
+		t.Errorf("DecodeAck of a data TPDU: err %v, naks %v; want ErrBadKind and the backing kept", err, gotA.Naks)
+	}
+}

@@ -8,11 +8,13 @@
 //
 // Data plane: the splice installs a transport delivery tap on the ingest
 // VC, so in-order OSDUs are handed to it on the ingest shard with no
-// application thread and no extra queue; each OSDU's payload is freshly
-// allocated by reassembly, so the splice retains it without copying and
-// fans it out via SendVC.TryPublish (which preserves the sequence). When
-// any egress ring is full the tap refuses delivery, which backpressures
-// the relay's upstream — pressure propagates source-ward hop by hop.
+// application thread and no extra queue. The payload is the transport's
+// recycled receive buffer, lent until the tap returns, so the splice keeps
+// nothing by reference: Retainer.Keep copies the OSDU into its history and
+// SendVC.TryPublish (which preserves the sequence) copies it into each
+// egress ring. When any egress ring is full the tap refuses delivery, which
+// backpressures the relay's upstream — pressure propagates source-ward hop
+// by hop.
 //
 // Control plane: every spliced OSDU is also kept in a bounded retainer, so
 // the splice can adopt a leaf that lost its parent: Adopt resumes the
@@ -221,8 +223,9 @@ func (sp *Splice) attachIngest(r *transport.RecvVC) {
 }
 
 // tap is the transport delivery tap: it runs on the ingest VC's owning
-// shard with the OSDU's freshly allocated payload, keeps the OSDU for
-// later adopters, and fans it out. Returning false leaves the OSDU in the
+// shard with the OSDU's payload on loan until it returns, copies the OSDU
+// into the retainer for later adopters, and fans it out (each egress ring
+// takes its own copy). Returning false leaves the OSDU in the
 // ingest's reorder stage and backpressures the upstream; the transport
 // retries every RTO, and the per-egress cursor keeps the retry idempotent.
 func (sp *Splice) tap(u cbuf.OSDU) bool {

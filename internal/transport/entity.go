@@ -499,48 +499,89 @@ func (e *Entity) sendCtl(dst core.HostID, c *pdu.Control) {
 }
 
 // onPacket is the host's network receive handler. It must stay fast: data
-// TPDUs are handled inline (non-blocking ring puts), everything that can
-// call user code goes through the bounded dispatch pool.
+// and ack TPDUs — the per-packet kinds — are decoded in place, copied once
+// into a pooled buffer and handed to the owning shard; everything that can
+// call user code goes through the bounded dispatch pool. The payload is
+// the substrate's again when onPacket returns (netif.Handler), and every
+// TPDU's CRC is verified exactly once, here, whichever decoder runs.
 func (e *Entity) onPacket(p netif.Packet) {
 	e.noteHeard(p.Src)
-	m, err := pdu.Decode(p.Payload)
-	if err != nil {
-		// Damaged in transit. Attribute to the owning VC if the
-		// network tagged one; the receive side treats it as a
-		// detected error per its class of service.
-		if p.Flow != 0 {
-			if r, ok := e.SinkVC(p.Flow); ok {
-				r.onDamaged()
-			}
+	switch kind, _ := pdu.PeekKind(p.Payload); kind {
+	case pdu.KindData:
+		var d pdu.Data
+		if err := pdu.DecodeData(p.Payload, &d); err != nil {
+			e.onDamaged(p)
+			return
 		}
-		return
-	}
-	switch msg := m.(type) {
-	case *pdu.Data:
 		// Hand off to the VC's owning shard: one queue write, no entity
-		// lock, no per-VC goroutine wake. pdu.Decode copied the payload,
-		// so the event owns its bytes.
-		e.shardFor(msg.VC).tryPost(shardEvent{kind: evData, vc: msg.VC, data: msg})
-	case *pdu.Ack:
-		e.shardFor(msg.VC).tryPost(shardEvent{kind: evAck, vc: msg.VC, ack: msg})
+		// lock, no per-VC goroutine wake. The event owns the copy.
+		rb := getRxBuf()
+		rb.b = append(rb.b[:0], d.Payload...)
+		d.Payload = rb.b
+		e.shardFor(d.VC).tryPost(shardEvent{kind: evData, vc: d.VC, data: d, buf: rb})
+	case pdu.KindAck:
+		// Decoded straight into a pooled buffer's NAK storage; an ack
+		// without NAKs, the usual kind, hands the buffer back at once.
+		rb := getRxBuf()
+		a := pdu.Ack{Naks: rb.naks}
+		err := pdu.DecodeAck(p.Payload, &a)
+		rb.naks = a.Naks
+		if err != nil {
+			rb.release()
+			e.onDamaged(p)
+			return
+		}
+		ev := shardEvent{kind: evAck, vc: a.VC, cum: a.CumSeq}
+		if len(a.Naks) > 0 {
+			ev.buf = rb
+		} else {
+			rb.release()
+		}
+		e.shardFor(a.VC).tryPost(ev)
+	default:
+		m, err := pdu.Decode(p.Payload)
+		if err != nil {
+			e.onDamaged(p)
+			return
+		}
+		e.onMessage(p.Src, m)
+	}
+}
+
+// onDamaged accounts a packet that failed its checksum. Damaged in
+// transit: attribute it to the owning VC if the network tagged one; the
+// receive side treats it as a detected error per its class of service.
+func (e *Entity) onDamaged(p netif.Packet) {
+	if p.Flow != 0 {
+		if r, ok := e.SinkVC(p.Flow); ok {
+			r.onDamaged()
+		}
+	}
+}
+
+// onMessage routes a decoded control, orchestration, report or datagram
+// PDU; pdu.Decode copied what it carries, so the closures below may outlive
+// the packet.
+func (e *Entity) onMessage(from core.HostID, m pdu.Message) {
+	switch msg := m.(type) {
 	case *pdu.Orch:
 		e.mu.Lock()
 		fn := e.orchFn
 		e.mu.Unlock()
 		if fn != nil {
-			e.dispatch(func() { fn(p.Src, msg) })
+			e.dispatch(func() { fn(from, msg) })
 		}
 	case *pdu.QoSReport:
-		e.dispatch(func() { e.onQoSReport(p.Src, msg) })
+		e.dispatch(func() { e.onQoSReport(from, msg) })
 	case *pdu.Datagram:
 		e.mu.Lock()
 		dfn := e.dgramFn[msg.DstTSAP]
 		e.mu.Unlock()
 		if dfn != nil {
-			e.dispatch(func() { dfn(p.Src, msg) })
+			e.dispatch(func() { dfn(from, msg) })
 		}
 	case *pdu.Control:
-		e.onControl(p.Src, msg)
+		e.onControl(from, msg)
 	}
 }
 

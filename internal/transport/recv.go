@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,13 +57,15 @@ type RecvVC struct {
 	stalledAt   time.Time     // when the protocol last failed to deliver (zero: not stalled)
 	stalled     time.Duration // accumulated protocol stall (ring full) time
 	asm         map[core.OSDUSeq]*partial
-	pendingOut  map[core.OSDUSeq]cbuf.OSDU // complete, awaiting in-order delivery
-	nextDeliver core.OSDUSeq               // next OSDU seq owed to the ring
-	tap         func(cbuf.OSDU) bool       // delivery tap; replaces the ring when set
-	expected    uint64                     // next in-order TPDU seq
-	maxSeen     uint64                     // highest TPDU seq seen
-	missing     map[uint64]time.Time       // TPDU gaps (correcting classes)
-	inOrderRun  int                        // TPDUs since last ack
+	freeParts   []*partial              // idle reassembly records, storage attached
+	pendingOut  map[core.OSDUSeq]rxOSDU // complete, awaiting in-order delivery
+	nextDeliver core.OSDUSeq            // next OSDU seq owed to the ring
+	tap         func(cbuf.OSDU) bool    // delivery tap; replaces the ring when set
+	expected    uint64                  // next in-order TPDU seq
+	maxSeen     uint64                  // highest TPDU seq seen
+	missing     map[uint64]time.Time    // TPDU gaps (correcting classes)
+	naks        []uint64                // sendAckLocked's NAK list storage, grown on first use
+	inOrderRun  int                     // TPDUs since last ack
 	xoff        bool
 	expectAdopt bool // resumed VC: adopt the first TPDU seq seen as the baseline
 
@@ -122,15 +125,29 @@ type recvInstr struct {
 	qosBER     *stats.Gauge
 }
 
-// partial is an OSDU under reassembly.
+// partial is a multi-fragment OSDU under reassembly. Records cycle
+// through the VC's free list with their reassembly buffer and fragment
+// bitmap attached, so a steady stream of same-sized OSDUs reassembles
+// without allocating.
 type partial struct {
-	size    int
 	got     int
-	have    []bool
-	buf     []byte
+	have    []bool // one per fragment
+	buf     []byte // OSDUSize bytes
 	event   core.EventPattern
 	sentAt  time.Time
 	started time.Time
+}
+
+// rxOSDU is a complete OSDU on its way to the application together with
+// the storage its payload lives in, which the holder releases once the
+// ring (which copies into its slot) or the tap (which must not keep the
+// slice) has accepted it, or when the OSDU is discarded instead: the
+// pooled receive buffer of a single-fragment OSDU — the TPDU's buffer is
+// the OSDU — or the reassembly record of a multi-fragment one.
+type rxOSDU struct {
+	cbuf.OSDU
+	buf  *rxBuf
+	part *partial
 }
 
 func newRecvVC(e *Entity, id core.VCID, tup core.ConnectTuple, profile qos.Profile, class qos.Class, contract qos.Contract) *RecvVC {
@@ -146,7 +163,7 @@ func newRecvVC(e *Entity, id core.VCID, tup core.ConnectTuple, profile qos.Profi
 		contract:   contract,
 		patterns:   make(map[core.EventPattern]bool),
 		asm:        make(map[core.OSDUSeq]*partial),
-		pendingOut: make(map[core.OSDUSeq]cbuf.OSDU),
+		pendingOut: make(map[core.OSDUSeq]rxOSDU),
 		missing:    make(map[uint64]time.Time),
 		expected:   1, // TPDU sequence numbers start at 1
 		done:       make(chan struct{}),
@@ -191,9 +208,11 @@ func (r *RecvVC) initResume(base core.OSDUSeq, tok uint32) {
 // SetDeliveryTap replaces ring delivery with a direct handoff: every
 // in-order OSDU is passed to fn instead of being queued for Read. The tap
 // is the re-publication hook for relay splices (one ingest VC fanned out
-// onto N egress VCs): the OSDU's payload is freshly allocated per OSDU, so
-// fn may retain it without copying. fn runs on the VC's owning shard (or,
-// transiently, an application thread) and must not block; returning false
+// onto N egress VCs). The OSDU's payload is lent, not given: it is valid
+// until fn returns, after which the transport recycles the buffer, so fn
+// copies what it keeps (relay.Splice does, into its retainer and each
+// egress ring). fn runs on the VC's owning shard (or, transiently, an
+// application thread) and must not block; returning false
 // keeps the OSDU in the reorder stage, engages source backpressure, and
 // retries every RTO until fn accepts it. A tapped VC must not be Read
 // concurrently — the ring is bypassed entirely, and DeliveredSeq advances
@@ -523,49 +542,33 @@ func (r *RecvVC) countLost(n int) {
 	r.si.lost.Add(uint64(n))
 }
 
-// onData is the receive path for one data TPDU. It runs on the host's
-// delivery goroutine and never blocks.
-func (r *RecvVC) onData(d *pdu.Data) {
+// onData is the receive path for one data TPDU: d is its header, decoded
+// and CRC-checked by onPacket, and rb the pooled buffer d.Payload lives
+// in, which onData now owns — it is released here unless the OSDU has to
+// wait in the reorder stage. Shard context; never blocks.
+func (r *RecvVC) onData(d *pdu.Data, rb *rxBuf) {
 	r.rxMu.Lock()
 	r.trackTPDU(d.Seq)
-
-	p := r.asm[d.OSDU]
-	if p == nil {
-		if d.OSDU < r.nextDeliver {
-			// Duplicate of an OSDU already delivered or declared dead.
-			r.rxMu.Unlock()
-			return
-		}
-		p = &partial{
-			size:    int(d.OSDUSize),
-			have:    make([]bool, d.FragCount),
-			buf:     make([]byte, d.OSDUSize),
-			event:   d.Event,
-			sentAt:  d.SentAt,
-			started: r.e.clk.Now(),
-		}
-		r.asm[d.OSDU] = p
-	}
-	if int(d.Frag) < len(p.have) && !p.have[d.Frag] {
-		p.have[d.Frag] = true
-		p.got++
-		copy(p.buf[int(d.Frag)*r.e.cfg.MaxTPDU:], d.Payload)
-	}
-	if p.got == len(p.have) {
-		delete(r.asm, d.OSDU)
-		r.pendingOut[d.OSDU] = cbuf.OSDU{Seq: d.OSDU, Event: p.event, Payload: p.buf[:p.size]}
-		delay := r.e.clk.Since(p.sentAt)
-		r.mon.Delivered(p.size, delay)
+	if u, sentAt, complete := r.reassembleLocked(d, rb); complete {
+		delay := r.e.clk.Since(sentAt)
+		r.mon.Delivered(len(u.Payload), delay)
 		if bound := r.lateBound.Load(); bound > 0 && delay > time.Duration(bound) {
 			r.si.late.Inc()
+		}
+		// The common case — the OSDU the application is owed next, with
+		// room for it — goes straight through; anything else parks in the
+		// reorder stage, still owning its storage.
+		if u.Seq != r.nextDeliver || !r.deliverNextLocked(u) {
+			r.pendingOut[u.Seq] = u
 		}
 	}
 	if !r.class.Corrects() {
 		// Without retransmission an OSDU older than a completed one can
 		// never finish: discard stale partials so delivery advances.
-		for seq := range r.asm {
+		for seq, p := range r.asm {
 			if seq < d.OSDU {
 				delete(r.asm, seq)
+				r.recyclePartLocked(p)
 			}
 		}
 	}
@@ -577,6 +580,80 @@ func (r *RecvVC) onData(d *pdu.Data) {
 	// downstream-full stall would never be retried. Shard context.
 	if need {
 		r.armFlowIfNeeded()
+	}
+}
+
+// reassembleLocked folds one fragment into its OSDU and reports whether
+// that completed it. It consumes rb: a single-fragment OSDU is complete as
+// it stands and keeps rb as its storage; a fragment of a larger one is
+// copied into the OSDU's reassembly record and rb released; a duplicate —
+// of an OSDU already delivered, declared dead, or parked complete in the
+// reorder stage — or a fragment that contradicts its OSDU's geometry is
+// dropped. sentAt is the send timestamp of the first fragment to arrive.
+// Caller holds rxMu.
+func (r *RecvVC) reassembleLocked(d *pdu.Data, rb *rxBuf) (u rxOSDU, sentAt time.Time, complete bool) {
+	p := r.asm[d.OSDU]
+	if p == nil {
+		_, parked := r.pendingOut[d.OSDU]
+		if d.OSDU < r.nextDeliver || parked {
+			rb.release()
+			return u, sentAt, false
+		}
+		if d.FragCount == 1 {
+			return rxOSDU{OSDU: cbuf.OSDU{Seq: d.OSDU, Event: d.Event, Payload: d.Payload}, buf: rb}, d.SentAt, true
+		}
+		p = r.newPartLocked(d)
+		r.asm[d.OSDU] = p
+	}
+	off := int(d.Frag) * r.e.cfg.MaxTPDU
+	if int(d.Frag) < len(p.have) && !p.have[d.Frag] && off+len(d.Payload) <= len(p.buf) {
+		p.have[d.Frag] = true
+		p.got++
+		copy(p.buf[off:], d.Payload)
+	}
+	rb.release()
+	if p.got < len(p.have) {
+		return u, sentAt, false
+	}
+	delete(r.asm, d.OSDU)
+	return rxOSDU{OSDU: cbuf.OSDU{Seq: d.OSDU, Event: p.event, Payload: p.buf}, part: p}, p.sentAt, true
+}
+
+// newPartLocked readies a reassembly record for the OSDU d belongs to,
+// reusing a free one's storage where it is large enough. Caller holds rxMu.
+func (r *RecvVC) newPartLocked(d *pdu.Data) *partial {
+	var p *partial
+	if k := len(r.freeParts); k > 0 {
+		p, r.freeParts[k-1] = r.freeParts[k-1], nil
+		r.freeParts = r.freeParts[:k-1]
+	} else {
+		p = new(partial)
+	}
+	p.got = 0
+	p.have = slices.Grow(p.have[:0], int(d.FragCount))[:d.FragCount]
+	clear(p.have)
+	p.buf = slices.Grow(p.buf[:0], int(d.OSDUSize))[:d.OSDUSize]
+	p.event, p.sentAt, p.started = d.Event, d.SentAt, r.e.clk.Now()
+	return p
+}
+
+// recyclePartLocked returns a reassembly record to the free list, which
+// holds at most a ring's worth; past that the record is the collector's.
+// Caller holds rxMu.
+func (r *RecvVC) recyclePartLocked(p *partial) {
+	poison(p.buf)
+	if len(r.freeParts) < r.ring.Cap() {
+		r.freeParts = append(r.freeParts, p)
+	}
+}
+
+// releaseLocked gives back the storage of an OSDU that has been delivered
+// or discarded; its payload must not be touched afterwards. Caller holds
+// rxMu.
+func (r *RecvVC) releaseLocked(u rxOSDU) {
+	u.buf.release()
+	if u.part != nil {
+		r.recyclePartLocked(u.part)
 	}
 }
 
@@ -626,22 +703,29 @@ func (r *RecvVC) trackTPDU(seq uint64) {
 	}
 }
 
+// maxNaks bounds the selective-NAK list of one acknowledgement.
+const maxNaks = 32
+
 // sendAckLocked emits a cumulative + selective acknowledgement. Caller
 // holds rxMu.
 func (r *RecvVC) sendAckLocked() {
 	r.inOrderRun = 0
-	a := &pdu.Ack{VC: r.id, CumSeq: r.maxSeen + 1, Window: uint32(r.e.cfg.WindowSize)}
+	a := pdu.Ack{VC: r.id, CumSeq: r.maxSeen + 1, Window: uint32(r.e.cfg.WindowSize), Naks: r.naks[:0]}
 	if r.class.Corrects() {
 		for s := range r.missing {
 			a.Naks = append(a.Naks, s)
-			if len(a.Naks) >= 32 {
+			if len(a.Naks) >= maxNaks {
 				break
 			}
 		}
 	}
+	r.naks = a.Naks[:0]
+	// Acks leave from the owning shard only (onData, ackTick), encoded
+	// into its buffer, which Send borrows.
+	r.sh.tx = a.Marshal(r.sh.tx[:0])
 	_ = r.e.net.Send(netif.Packet{
 		Src: r.tuple.Dest.Host, Dst: r.tuple.Source.Host,
-		Flow: r.id, Prio: netif.PrioControl, Payload: a.Marshal(nil),
+		Flow: r.id, Prio: netif.PrioControl, Payload: r.sh.tx,
 	})
 }
 
@@ -668,19 +752,30 @@ func (r *RecvVC) flushInOrderLocked() {
 			r.nextDeliver = next
 			continue
 		}
-		if !r.deliverLocked(u) {
+		if !r.deliverNextLocked(u) {
 			if r.stalledAt.IsZero() {
 				r.stalledAt = r.e.clk.Now()
 			}
 			r.overflowLocked()
 			return
 		}
-		if !r.xoff {
-			r.endStallLocked()
-		}
-		delete(r.pendingOut, r.nextDeliver)
-		r.nextDeliver++
+		delete(r.pendingOut, u.Seq)
 	}
+}
+
+// deliverNextLocked offers the application the OSDU it is owed next. Once
+// accepted the OSDU's storage is released and delivery moves on. Caller
+// holds rxMu.
+func (r *RecvVC) deliverNextLocked(u rxOSDU) bool {
+	if !r.deliverLocked(u.OSDU) {
+		return false
+	}
+	if !r.xoff {
+		r.endStallLocked()
+	}
+	r.releaseLocked(u)
+	r.nextDeliver++
+	return true
 }
 
 // overflowLocked bounds the reorder stage: beyond 4x the ring capacity
@@ -693,6 +788,7 @@ func (r *RecvVC) overflowLocked() {
 		if !ok {
 			return
 		}
+		r.releaseLocked(r.pendingOut[seq])
 		delete(r.pendingOut, seq)
 		r.countLost(1)
 		if seq >= r.nextDeliver {
@@ -716,8 +812,10 @@ func (r *RecvVC) oldestPendingLocked() (core.OSDUSeq, bool) {
 
 // deliverLocked matches events and places one OSDU into the shared
 // buffer (or hands it to the delivery tap), reporting whether it was
-// accepted; callers keep OSDUs that were not in the reorder stage. Caller
-// holds rxMu.
+// accepted; callers keep OSDUs that were not in the reorder stage, and
+// release the payload's storage of those that were — accepted means
+// copied, by the ring into its slot or by the tap into whatever it keeps.
+// Caller holds rxMu.
 func (r *RecvVC) deliverLocked(u cbuf.OSDU) bool {
 	if r.tap != nil {
 		if !r.tap(u) {
@@ -867,6 +965,7 @@ func (r *RecvVC) ackTick() {
 		for seq, p := range r.asm {
 			if now.Sub(p.started) > deadAfter {
 				delete(r.asm, seq)
+				r.recyclePartLocked(p)
 			}
 		}
 		// If the head OSDU can no longer complete — nothing of it
@@ -963,11 +1062,21 @@ func (r *RecvVC) sealResumePoint() core.OSDUSeq {
 	return seq
 }
 
-// shardClose disarms the VC's wheel timers; shard context.
+// shardClose disarms the VC's wheel timers and gives back every buffer the
+// reorder stage still owns; shard context. The ring is closed by now, so
+// nothing parked could have been delivered any more.
 func (r *RecvVC) shardClose() {
 	r.sh.wheel.Cancel(&r.sampleTimer)
 	r.sh.wheel.Cancel(&r.ackTimer)
 	r.sh.wheel.Cancel(&r.flowTimer)
+	r.rxMu.Lock()
+	for seq, u := range r.pendingOut {
+		delete(r.pendingOut, seq)
+		r.releaseLocked(u)
+	}
+	clear(r.asm)
+	r.freeParts = nil
+	r.rxMu.Unlock()
 }
 
 // teardown stops the VC's periodic work and frees its resources. Safe to

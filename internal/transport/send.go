@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,7 +88,7 @@ type SendVC struct {
 	// (pump, timer callbacks, onAck, peerHold, shardClose) touches it, so
 	// no locks are needed.
 	pendValid  bool      // an OSDU is mid-segmentation
-	pend       cbuf.OSDU // current OSDU, payload copied out of the ring
+	pend       cbuf.OSDU // current OSDU; Payload is the ring's scratch, see pump
 	frag       int       // next fragment index to transmit
 	frags      int       // fragment count for pend
 	paid       bool      // pacing debt taken for the current fragment
@@ -95,7 +96,8 @@ type SendVC struct {
 	starving   bool      // pump found the ring empty
 	starveAt   time.Time
 
-	retransBuf map[uint64]retransEntry // correcting classes only
+	retrans     *retransWindow // correcting classes only
+	retransFunc func()         // retransTick, bound once: re-arming with the method value allocates
 
 	// xoffLease expires a peer-flow-control hold if the sink's XON is
 	// lost; the sink refreshes XOFF while it still needs the pause.
@@ -139,10 +141,16 @@ type sendInstr struct {
 	protoBlock   *stats.Histogram
 }
 
-type retransEntry struct {
-	data   *pdu.Data
-	sentAt time.Time
-}
+// pacerSlack bounds how far ahead of its contract a VC may run before the
+// pacer holds it: the bucket is at least this much of the contract deep.
+// Any pacing debt, however small, costs a whole tick of the shard's timer
+// wheel, during which the bucket refills no further than its depth; once
+// the pump encodes a TPDU in less time than a contract grants it (under a
+// microsecond at 1e6 OSDU/s), a two-OSDU bucket is in debt after a handful
+// of back-to-back OSDUs and the VC delivers a few per tick instead of its
+// contract. A tenth of a tick leaves every contract up to 20 000 OSDU/s
+// with exactly the two-OSDU bucket.
+const pacerSlack = 100 * time.Microsecond
 
 func newSendVC(e *Entity, id core.VCID, tup core.ConnectTuple, profile qos.Profile, class qos.Class, contract qos.Contract, resvID resv.ID) *SendVC {
 	s := &SendVC{
@@ -159,15 +167,17 @@ func newSendVC(e *Entity, id core.VCID, tup core.ConnectTuple, profile qos.Profi
 	// Rate-based flow control paces logical units: the contract's
 	// throughput is an OSDU rate, and "at each time period there will
 	// always be something to transmit (one logical unit)" (§3.7) — so
-	// the bucket is denominated in OSDUs, with a two-OSDU burst.
-	s.bucket = rate.NewBucket(e.clk, contract.Throughput, 2)
+	// the bucket is denominated in OSDUs, with a two-OSDU burst, or
+	// pacerSlack of the contract where that is more.
+	s.bucket = rate.NewBucket(e.clk, contract.Throughput, max(2, contract.Throughput*pacerSlack.Seconds()))
 	if profile == qos.ProfileWindow {
 		s.window = rate.NewWindow(e.cfg.WindowSize)
 	} else if class.Corrects() {
 		s.window = rate.NewWindow(e.cfg.RetransBuf)
 	}
 	if class.Corrects() {
-		s.retransBuf = make(map[uint64]retransEntry)
+		s.retrans = &retransWindow{}
+		s.retransFunc = s.retransTick
 	}
 	sc := e.scope.Scope(vcScopeName(id)).Scope("send")
 	s.si = sendInstr{
@@ -574,13 +584,10 @@ func (s *SendVC) pump() {
 				// data loss.
 				rt.Keep(u)
 			}
+			// No copy: u.Payload is the ring's consumer scratch, and this
+			// pump — the ring's only consumer — does not TryGet again until
+			// the last fragment below is encoded (cbuf.Ring.TryGet).
 			s.pend = u
-			if len(u.Payload) > 0 {
-				// One copy per OSDU out of the ring's scratch buffer;
-				// fragments slice into it, and retransmission entries keep
-				// their disjoint sub-slices alive as long as needed.
-				s.pend.Payload = append([]byte(nil), u.Payload...)
-			}
 			s.frags = (len(u.Payload) + maxTPDU - 1) / maxTPDU
 			if s.frags == 0 {
 				s.frags = 1 // zero-length OSDUs still occupy one TPDU
@@ -624,7 +631,7 @@ func (s *SendVC) pump() {
 		}
 		seq := s.nextTPDUSeqLocked()
 		s.mu.Unlock()
-		d := &pdu.Data{
+		d := pdu.Data{
 			VC:        s.id,
 			Seq:       seq,
 			OSDU:      s.pend.Seq,
@@ -635,13 +642,20 @@ func (s *SendVC) pump() {
 			Payload:   payload,
 			SentAt:    s.e.clk.Now(),
 		}
-		if s.retransBuf != nil {
-			s.retransBuf[seq] = retransEntry{data: d, sentAt: d.SentAt}
+		// Encoded once, into one buffer: the shard's, reused for the next
+		// TPDU, or for a correcting class one of the VC's own that then is
+		// the retransmit entry.
+		if s.retrans == nil {
+			s.sh.tx = d.Marshal(s.sh.tx[:0])
+			s.transmit(s.sh.tx)
+		} else {
+			tpdu := d.Marshal(s.retrans.buffer())
+			s.retrans.push(seq, tpdu, d.SentAt)
 			if !s.retransTimer.Armed() {
-				s.sh.schedule(&s.retransTimer, s.e.cfg.RTO, s.retransTick)
+				s.sh.schedule(&s.retransTimer, s.e.cfg.RTO, s.retransFunc)
 			}
+			s.transmit(tpdu)
 		}
-		s.transmit(d)
 		s.frag++
 		s.paid = false
 		s.creditHeld = false
@@ -672,29 +686,40 @@ func (s *SendVC) nextTPDUSeqLocked() uint64 {
 	return s.tpduSeq
 }
 
-// transmit puts one TPDU on the wire at the VC's priority.
-func (s *SendVC) transmit(d *pdu.Data) {
+// transmit puts one encoded TPDU on the wire at the VC's priority. The
+// substrate borrows tpdu only until Send returns.
+func (s *SendVC) transmit(tpdu []byte) {
 	prio := netif.PrioGuaranteed
 	if s.Contract().Guarantee == qos.BestEffort {
 		prio = netif.PrioBestEffort
 	}
 	_ = s.e.net.Send(netif.Packet{
 		Src: s.tuple.Source.Host, Dst: s.tuple.Dest.Host,
-		Flow: s.id, Prio: prio, Payload: d.Marshal(nil),
+		Flow: s.id, Prio: prio, Payload: tpdu,
 	})
 }
 
+// retransmit re-sends a retransmit entry's stored bytes — byte-identical
+// to the first transmission, SentAt field included.
+func (s *SendVC) retransmit(tpdu []byte) {
+	s.si.retransmits.Inc()
+	s.transmit(tpdu)
+}
+
 // onAck processes cumulative and selective acknowledgements (correcting
-// classes and the window profile). Shard context.
-func (s *SendVC) onAck(a *pdu.Ack) {
-	if s.retransBuf == nil {
+// classes and the window profile): every entry below cum is released
+// unless the receiver NAKed it, and every NAKed entry is re-sent. Only
+// newly covered and NAKed entries are visited. naks is valid for the call.
+// Shard context.
+func (s *SendVC) onAck(cum uint64, naks []uint64) {
+	if s.retrans == nil {
 		if s.window != nil {
 			// Window profile without correction: the cumulative ack
 			// returns credit for every newly covered TPDU.
 			s.mu.Lock()
-			released := int64(a.CumSeq) - int64(s.lastCum)
+			released := int64(cum) - int64(s.lastCum)
 			if released > 0 {
-				s.lastCum = a.CumSeq
+				s.lastCum = cum
 			}
 			s.mu.Unlock()
 			if released > 0 {
@@ -704,42 +729,22 @@ func (s *SendVC) onAck(a *pdu.Ack) {
 		}
 		return
 	}
-	var nak map[uint64]bool
-	if len(a.Naks) > 0 {
-		nak = make(map[uint64]bool, len(a.Naks))
-		for _, n := range a.Naks {
-			nak[n] = true
-		}
-	}
-	var resend []*pdu.Data
-	released := 0
+	w := s.retrans
 	now := s.e.clk.Now()
-	for seq, entry := range s.retransBuf {
-		switch {
-		case nak[seq]:
-			resend = append(resend, entry.data)
-			entry.sentAt = now
-			s.retransBuf[seq] = entry
-		case seq < a.CumSeq:
-			s.si.ackRTT.Observe(now.Sub(entry.sentAt).Seconds())
-			delete(s.retransBuf, seq)
-			released++
-		}
-	}
-	if len(s.retransBuf) == 0 {
+	released := 0
+	w.ack(cum, naks, now, s.retransmit, func(rtt time.Duration) {
+		s.si.ackRTT.Observe(rtt.Seconds())
+		released++
+	})
+	if w.live() == 0 {
 		// Nothing left to retransmit: stop the RTO sweep until the next
-		// in-flight TPDU arms it again. The old per-VC retransmit loop
-		// ticked every RTO forever, even on idle VCs.
+		// in-flight TPDU arms it again.
 		s.sh.wheel.Cancel(&s.retransTimer)
 	}
-	if s.window != nil && released > 0 {
-		s.window.Release(released)
-	}
-	s.si.retransmits.Add(uint64(len(resend)))
-	for _, d := range resend {
-		s.transmit(d)
-	}
 	if released > 0 {
+		if s.window != nil {
+			s.window.Release(released)
+		}
 		s.pump()
 	}
 }
@@ -747,22 +752,143 @@ func (s *SendVC) onAck(a *pdu.Ack) {
 // retransTick re-sends unacknowledged TPDUs older than the RTO; it stays
 // armed only while something is actually in flight.
 func (s *SendVC) retransTick() {
+	w := s.retrans
 	now := s.e.clk.Now()
-	var resend []*pdu.Data
-	for seq, entry := range s.retransBuf {
-		if now.Sub(entry.sentAt) >= s.e.cfg.RTO {
-			resend = append(resend, entry.data)
-			entry.sentAt = now
-			s.retransBuf[seq] = entry
+	rto := s.e.cfg.RTO
+	resendIfDue := func(e *retransEntry) {
+		if now.Sub(e.sentAt) >= rto {
+			s.retransmit(e.tpdu)
+			e.sentAt = now
 		}
 	}
-	s.si.retransmits.Add(uint64(len(resend)))
-	for _, d := range resend {
-		s.transmit(d)
+	for i := range w.naked {
+		resendIfDue(&w.naked[i])
 	}
-	if len(s.retransBuf) > 0 {
-		s.sh.schedule(&s.retransTimer, s.e.cfg.RTO, s.retransTick)
+	for i := 0; i < w.n; i++ {
+		resendIfDue(w.at(i))
 	}
+	if w.live() > 0 {
+		s.sh.schedule(&s.retransTimer, rto, s.retransFunc)
+	}
+}
+
+// retransEntry is one unacknowledged TPDU of a correcting class: the
+// encoded bytes exactly as first transmitted, and when they last left.
+type retransEntry struct {
+	seq    uint64
+	tpdu   []byte
+	sentAt time.Time
+}
+
+// retransWindow holds a correcting VC's unacknowledged TPDUs. The pump
+// numbers TPDUs consecutively and cumulative acks cover a prefix, so the
+// in-flight entries are always one contiguous sequence range [lo, lo+n):
+// they sit in a power-of-two ring indexed by sequence number, pushed at
+// the top and popped at the bottom with no searching. An entry an ack
+// covered but NAKed moves to the short naked list until a later ack lets
+// it go. The rate.Window credit bounds n+len(naked); the ring grows on
+// demand towards that bound instead of being allocated at it, and encode
+// buffers are recycled through free the same way, so an idle VC holds
+// neither. Shard-confined.
+type retransWindow struct {
+	ring  []retransEntry // len is zero or a power of two
+	lo    uint64         // sequence number of the oldest in-flight entry
+	n     int
+	naked []retransEntry
+	free  [][]byte // released encode buffers, reused by buffer
+}
+
+// ack applies one acknowledgement to the window at time now: an entry the
+// receiver NAKed is re-sent (resend gets its bytes, its RTO restarts) and
+// kept; any other entry below cum is released (released gets the time since
+// it last left) and its buffer recycled. Only the naked list and the newly
+// covered low end of the ring are visited. The callbacks take values, so
+// entries stay off the heap.
+func (w *retransWindow) ack(cum uint64, naks []uint64, now time.Time, resend func(tpdu []byte), released func(rtt time.Duration)) {
+	// Entries an earlier ack covered but NAKed: owed until an ack stops
+	// asking for them.
+	kept := w.naked[:0]
+	for _, e := range w.naked {
+		switch {
+		case slices.Contains(naks, e.seq):
+			resend(e.tpdu)
+			e.sentAt = now
+			kept = append(kept, e)
+		case e.seq < cum:
+			released(now.Sub(e.sentAt))
+			w.recycle(e.tpdu)
+		default:
+			kept = append(kept, e)
+		}
+	}
+	clear(w.naked[len(kept):])
+	w.naked = kept
+	// Newly covered entries leave the in-flight range from its low end.
+	for w.n > 0 && w.lo < cum {
+		e := w.pop()
+		if slices.Contains(naks, e.seq) {
+			resend(e.tpdu)
+			e.sentAt = now
+			w.naked = append(w.naked, e)
+		} else {
+			released(now.Sub(e.sentAt))
+			w.recycle(e.tpdu)
+		}
+	}
+}
+
+// live is the number of entries still awaiting acknowledgement.
+func (w *retransWindow) live() int { return w.n + len(w.naked) }
+
+// at returns the i-th oldest in-flight entry.
+func (w *retransWindow) at(i int) *retransEntry {
+	return &w.ring[(w.lo+uint64(i))&uint64(len(w.ring)-1)]
+}
+
+// buffer returns an empty buffer to encode the next TPDU into: a recycled
+// one when there is one, else nil (Marshal then allocates its exact size).
+func (w *retransWindow) buffer() []byte {
+	k := len(w.free)
+	if k == 0 {
+		return nil
+	}
+	b := w.free[k-1]
+	w.free[k-1] = nil
+	w.free = w.free[:k-1]
+	return b[:0]
+}
+
+// recycle takes back the buffer of a released entry.
+func (w *retransWindow) recycle(b []byte) {
+	poison(b)
+	w.free = append(w.free, b)
+}
+
+// push adds the entry for seq, the sequence number after the newest.
+func (w *retransWindow) push(seq uint64, tpdu []byte, sentAt time.Time) {
+	if w.n == 0 {
+		w.lo = seq
+	}
+	if w.n == len(w.ring) {
+		grown := make([]retransEntry, max(2*len(w.ring), 8))
+		for i := 0; i < w.n; i++ {
+			e := w.at(i)
+			grown[e.seq&uint64(len(grown)-1)] = *e
+		}
+		w.ring = grown
+	}
+	w.n++
+	*w.at(w.n - 1) = retransEntry{seq: seq, tpdu: tpdu, sentAt: sentAt}
+}
+
+// pop removes and returns the oldest in-flight entry.
+func (w *retransWindow) pop() retransEntry {
+	slot := w.at(0)
+	e := *slot
+	*slot = retransEntry{}
+	w.lo++
+	w.n--
+	return e
 }
 
 // shardClose disarms the VC's wheel timers on the owning shard; after it
@@ -777,7 +903,7 @@ func (s *SendVC) shardClose() {
 	s.endPeerHold()
 	s.pendValid = false
 	s.pend = cbuf.OSDU{}
-	s.retransBuf = nil
+	s.retrans = nil // unacknowledged TPDUs and spare buffers go to the collector
 }
 
 // teardown stops the VC and frees its resources. Safe to call more than

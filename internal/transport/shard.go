@@ -25,7 +25,9 @@ import (
 //     receive path (data TPDUs, acks, XON/XOFF). These may be dropped
 //     under overload — each is protocol-recoverable (retransmission,
 //     cumulative acks, lease expiry / refresh) — and drops are counted in
-//     shard/handoff_drops.
+//     shard/handoff_drops. A data or ack event owns the one pooled buffer
+//     its TPDU was copied into (see buf.go); whoever consumes or drops the
+//     event releases it.
 //   - an unbounded mutex-protected control queue for must-deliver events
 //     (VC registration/teardown, pump wake-ups, timer arm requests).
 //     These are rare, never dropped, and keep FIFO order, so a VC is
@@ -36,13 +38,18 @@ import (
 // ordering is free: data TPDUs for a VC are processed in arrival order,
 // and timer callbacks never race packet handlers.
 
-// shardEvent is one unit of work for a shard loop.
+// shardEvent is one unit of work for a shard loop. Per-packet events
+// carry the TPDU's header by value — decoded, and its CRC verified, once
+// in Entity.onPacket before the handoff — plus the pooled buffer holding
+// what the header does not: the payload of a data TPDU, the NAK list of an
+// acknowledgement.
 type shardEvent struct {
 	kind uint8
 	vc   core.VCID
-	on   bool // evFlow: XOFF (true) or XON (false)
-	data *pdu.Data
-	ack  *pdu.Ack
+	on   bool     // evFlow: XOFF (true) or XON (false)
+	data pdu.Data // evData: header fields; Payload aliases buf.b
+	cum  uint64   // evAck: cumulative sequence; the NAKs, if any, are buf.naks
+	buf  *rxBuf   // evData, evAck with NAKs: owned by the event
 	send *SendVC
 	recv *RecvVC
 	fn   func()
@@ -135,9 +142,19 @@ type shard struct {
 	ring  *eventRing
 	ctlMu sync.Mutex
 	ctl   []shardEvent
+	// ctlDone is the control batch the loop handled last, emptied: the loop
+	// swaps it with ctl instead of dropping a slice per wake-up and letting
+	// the next post regrow one from nothing.
+	ctlDone []shardEvent
 
-	wake chan struct{} // capacity 1: a buffered token survives a race with parking
-	done chan struct{}
+	wake     chan struct{} // capacity 1: a buffered token survives a race with parking
+	wakeFunc func()        // notify, bound once: the park timer's callback
+	done     chan struct{}
+
+	// tx is the shard's encode buffer, borrowed by netif.Send for the length
+	// of one call: data TPDUs of non-retransmitting VCs and every
+	// acknowledgement are encoded here, each over the last.
+	tx []byte
 
 	// Shard-confined VC tables: the per-packet path resolves VCs here,
 	// never through the entity lock.
@@ -151,7 +168,7 @@ type shard struct {
 }
 
 func newShard(e *Entity, idx int) *shard {
-	return &shard{
+	sh := &shard{
 		e:     e,
 		idx:   idx,
 		ring:  newEventRing(e.cfg.ShardQueue),
@@ -162,6 +179,8 @@ func newShard(e *Entity, idx int) *shard {
 		wheel: timerwheel.New(e.clk.Now(), 0),
 		drops: e.scope.Counter("shard/handoff_drops"),
 	}
+	sh.wakeFunc = sh.notify
+	return sh
 }
 
 // shardFor returns the shard owning a VC.
@@ -196,11 +215,13 @@ func (sh *shard) post(ev shardEvent) {
 // tryPost enqueues a droppable per-packet event, counting the drop when
 // the ring is full (the protocol recovers: retransmission for data,
 // cumulative coverage for acks, lease refresh/expiry for flow control).
+// The event's buffer goes with it, or back to the pool on a drop.
 func (sh *shard) tryPost(ev shardEvent) {
 	if sh.ring.tryPush(ev) {
 		sh.notify()
 		return
 	}
+	ev.buf.release()
 	sh.drops.Inc()
 }
 
@@ -214,11 +235,13 @@ func (sh *shard) loop() {
 	for {
 		sh.ctlMu.Lock()
 		ctl := sh.ctl
-		sh.ctl = nil
+		sh.ctl = sh.ctlDone
 		sh.ctlMu.Unlock()
 		for i := range ctl {
 			sh.handle(&ctl[i])
 		}
+		clear(ctl) // drop the VC and closure references
+		sh.ctlDone = ctl[:0]
 		for {
 			ev, ok := sh.ring.pop()
 			if !ok {
@@ -240,7 +263,7 @@ func (sh *shard) loop() {
 		if wait <= 0 {
 			continue
 		}
-		t := clk.AfterFunc(wait, sh.notify)
+		t := clk.AfterFunc(wait, sh.wakeFunc)
 		select {
 		case <-sh.wake:
 		case <-sh.done:
@@ -261,13 +284,16 @@ func (sh *shard) handle(ev *shardEvent) {
 	switch ev.kind {
 	case evData:
 		if r := sh.lookupRecv(ev.vc); r != nil {
-			r.onData(ev.data)
+			r.onData(&ev.data, ev.buf)
 			r.armFlowIfNeeded()
+		} else {
+			ev.buf.release()
 		}
 	case evAck:
 		if s := sh.lookupSend(ev.vc); s != nil {
-			s.onAck(ev.ack)
+			s.onAck(ev.cum, ev.buf.nakList())
 		}
+		ev.buf.release()
 	case evFlow:
 		if s := sh.lookupSend(ev.vc); s != nil {
 			s.peerHold(ev.on)

@@ -6,6 +6,7 @@ import (
 	"net/netip"
 	"syscall"
 	"testing"
+	"time"
 
 	"cmtos/internal/core"
 	"cmtos/internal/netif"
@@ -120,6 +121,34 @@ func TestOpenSendCloseChurn(t *testing.T) {
 		}
 		if sent != burst {
 			t.Fatalf("round %d: sent %d of %d enqueued packets: Close lost the rest", round, sent, burst)
+		}
+	}
+}
+
+// TestCloseWakesParkedSendLoops pins Close's lost wake-up: it used to set
+// closed and Broadcast without the queue lock, so a send loop caught
+// between reading closed == false and parking slept through the only
+// signal and Close blocked on it for ever (about once in 100 000 rounds).
+// Each round's self-addressed packet has all eight send loops either
+// parked or just coming back around their check when Close arrives; a
+// Close that does not return fails the test instead of hanging it.
+func TestCloseWakesParkedSendLoops(t *testing.T) {
+	defer nettest.CheckGoroutines(t)()
+	const rounds = 300
+	for round := 0; round < rounds; round++ {
+		n, err := New(Config{Local: 1, Listen: "127.0.0.1:0", SendShards: 8, RecvShards: 1})
+		if err != nil {
+			t.Skipf("UDP sockets unavailable: %v", err)
+		}
+		for flow := core.VCID(1); flow <= 8; flow++ {
+			_ = n.Send(netif.Packet{Src: 1, Dst: 1, Flow: flow, Prio: netif.PrioGuaranteed, Payload: []byte{byte(round)}})
+		}
+		closed := make(chan struct{})
+		go func() { n.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("round %d: Close still blocked after 10s: a send loop slept through the shutdown wake-up", round)
 		}
 	}
 }

@@ -1122,7 +1122,13 @@ func (n *Network) Close() {
 		return
 	}
 	for _, s := range n.send {
-		s.qcond.Broadcast() // unblocks sendLoop
+		// Under qmu: a send loop that has read closed == false is either
+		// still holding the lock, and will see the wake-up once it waits,
+		// or already waiting. A bare Broadcast between its check and its
+		// Wait was lost, and Close then waited on sendDone for ever.
+		s.qmu.Lock()
+		s.qcond.Broadcast()
+		s.qmu.Unlock()
 	}
 	for _, s := range n.send {
 		<-s.sendDone // already-queued packets (e.g. a final DiscReq) go out first

@@ -16,6 +16,12 @@ go build ./...
 go vet ./...
 go test -race ./...
 
+# The end-to-end benchmark is a module of its own (bench/, with a replace
+# onto this one), so ./... does not reach it: vet it and run its tests
+# under the race detector too.
+go vet -C bench .
+go test -C bench -race .
+
 # Bench smoke: run every udpnet wire-path benchmark for a single
 # iteration — including the offloaded (GSO/GRO) and NoOffload variants
 # behind BENCH_8 — so a refactor that breaks the benchmark harness (or
@@ -36,10 +42,12 @@ CMTOS_BENCH_VCS=64 go test -run='^$' -bench='^(Benchmark100kVC|BenchmarkNoteHear
 # per-egress copies) fails here rather than in the nightly BENCH_7 job.
 go test -run='^$' -bench='^BenchmarkRelayFanout$' -benchtime=1x ./internal/relay/
 
-# Short fuzz burst on the wire decoder: the corpus seeds cover every PDU
+# Short fuzz bursts on the wire decoder: the corpus seeds cover every PDU
 # kind, so even a few seconds of mutation exercises the codec's bounds
-# checks on each decode path.
-go test -run='^$' -fuzz=FuzzDecode -fuzztime=10s ./internal/pdu/
+# checks on each decode path, and the differential target holds the
+# transport's in-place DecodeData/DecodeAck to exactly what Decode reports.
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=10s ./internal/pdu/
+go test -run='^$' -fuzz='^FuzzDecodeDataAck$' -fuzztime=10s ./internal/pdu/
 
 # Predictor A/B smoke: the predictive-vs-reactive guard harness (B9)
 # under its delay-ramp and burst regimes, asserting the guard acts
@@ -53,3 +61,9 @@ go test -race -count=1 -run='^TestPredictAB' ./internal/lab/
 # all drain to zero. CMTOS_SOAK=long (the nightly workflow) adds the
 # heavier fault regimes.
 go test -race -count=1 -run='^TestChaosSoak$' ./internal/soak/
+
+# Benchmark smoke: three seconds of the per-packet workload, end to end
+# over loopback UDP with every OSDU verified on read. The last line is the
+# JSON the benchmark driver reads; any failed OSDU or misdelivery fails
+# the gate.
+sh scripts/bench_smoke.sh
