@@ -205,10 +205,6 @@ type LinkStats struct {
 	Bytes     int64
 }
 
-// GroupBase is the floor of the multicast group-address space: HostIDs at
-// or above it name groups, not hosts (§3.8's group addressing).
-const GroupBase = netif.GroupBase
-
 // Network is a set of hosts joined by links. Create with New, add hosts
 // and links, then Start. All methods are safe for concurrent use after
 // Start.
@@ -220,7 +216,6 @@ type Network struct {
 	hosts   map[core.HostID]*host
 	links   map[[2]core.HostID]*link
 	routes  map[[2]core.HostID]core.HostID // (at,dst) -> next hop
-	groups  map[core.HostID][]core.HostID  // multicast groups
 	started bool
 	closed  bool
 }
@@ -239,7 +234,6 @@ func New(clk clock.Clock) *Network {
 		hosts:  make(map[core.HostID]*host),
 		links:  make(map[[2]core.HostID]*link),
 		routes: make(map[[2]core.HostID]core.HostID),
-		groups: make(map[core.HostID][]core.HostID),
 	}
 }
 
@@ -513,57 +507,12 @@ func (n *Network) routeAvoidingLocked(src, dst core.HostID, avoid []core.HostID)
 	return path, nil
 }
 
-// AddGroup registers (or replaces) a multicast group: packets addressed
-// to gid are fanned out to every member at the source node. Groups may be
-// added after Start. The simple source-side fan-out realises the paper's
-// "simple 1:N topology" (§3.8); branch-point duplication is left to the
-// underlying network in the paper too.
-func (n *Network) AddGroup(gid core.HostID, members []core.HostID) error {
-	if gid < GroupBase {
-		return fmt.Errorf("netem: group id %v below GroupBase", gid)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, m := range members {
-		if _, ok := n.hosts[m]; !ok {
-			return fmt.Errorf("netem: group member %v unknown", m)
-		}
-	}
-	n.groups[gid] = append([]core.HostID(nil), members...)
-	return nil
-}
-
-// RemoveGroup deletes a multicast group.
-func (n *Network) RemoveGroup(gid core.HostID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.groups, gid)
-}
-
 // Send injects a packet at its source host. It fails if the network is
-// not started or no route exists. Group destinations fan out to every
-// member. Delivery is asynchronous: the packet sits in link queues and a
-// host inbox after Send returns, so the emulator takes its own copy of the
-// borrowed payload (netif.Network.Send) — one per destination, shared by
-// every hop on the way there.
+// not started or no route exists. Delivery is asynchronous: the packet
+// sits in link queues and a host inbox after Send returns, so the emulator
+// takes its own copy of the borrowed payload (netif.Network.Send), shared
+// by every hop on the way there.
 func (n *Network) Send(p Packet) error {
-	if p.Dst >= GroupBase {
-		n.mu.Lock()
-		members, ok := n.groups[p.Dst]
-		n.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("netem: unknown group %v", p.Dst)
-		}
-		var firstErr error
-		for _, m := range members {
-			dup := p
-			dup.Dst = m
-			if err := n.Send(dup); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
 	n.mu.Lock()
 	if !n.started {
 		n.mu.Unlock()

@@ -547,55 +547,6 @@ func TestConcurrentSenders(t *testing.T) {
 	sink.wait(t, int(sent.Load()), 5*time.Second)
 }
 
-func TestMulticastGroupFanOut(t *testing.T) {
-	n := New(sys)
-	sinks := map[core.HostID]*collector{}
-	for id := core.HostID(1); id <= 4; id++ {
-		if id == 1 {
-			_ = n.AddHost(id, nil)
-			continue
-		}
-		c := newCollector()
-		sinks[id] = c
-		_ = n.AddHost(id, c.handle)
-	}
-	for id := core.HostID(2); id <= 4; id++ {
-		_ = n.AddLink(1, id, fastLink())
-	}
-	if err := n.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer n.Close()
-
-	gid := GroupBase | 7
-	if err := n.AddGroup(gid, []core.HostID{2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Send(Packet{Src: 1, Dst: gid, Payload: []byte("to-all")}); err != nil {
-		t.Fatal(err)
-	}
-	for id, c := range sinks {
-		pkts := c.wait(t, 1, time.Second)
-		if string(pkts[0].Payload) != "to-all" {
-			t.Fatalf("host %v payload %q", id, pkts[0].Payload)
-		}
-	}
-	// Group management errors.
-	if err := n.AddGroup(5, []core.HostID{2}); err == nil {
-		t.Error("group id below GroupBase accepted")
-	}
-	if err := n.AddGroup(GroupBase|8, []core.HostID{99}); err == nil {
-		t.Error("unknown member accepted")
-	}
-	if err := n.Send(Packet{Src: 1, Dst: GroupBase | 99}); err == nil {
-		t.Error("send to unknown group succeeded")
-	}
-	n.RemoveGroup(gid)
-	if err := n.Send(Packet{Src: 1, Dst: gid}); err == nil {
-		t.Error("send to removed group succeeded")
-	}
-}
-
 func TestDegradeLinkInService(t *testing.T) {
 	n, sink := twoHosts(t, fastLink())
 	for i := 0; i < 50; i++ {

@@ -280,29 +280,27 @@ func (n *Network) Send(p netif.Packet) error {
 func (n *Network) decide(p netif.Packet, out *[]netif.Packet) {
 	n.mu.Lock()
 	n.fi.sent.Inc()
-	if n.crashed[p.Src] || (p.Dst < netif.GroupBase && n.crashed[p.Dst]) {
+	if n.crashed[p.Src] || n.crashed[p.Dst] {
 		n.fi.crashed_.Inc()
 		n.mu.Unlock()
 		return
 	}
-	if p.Dst < netif.GroupBase && n.parts[[2]core.HostID{p.Src, p.Dst}] {
+	if n.parts[[2]core.HostID{p.Src, p.Dst}] {
 		n.fi.partitioned.Inc()
 		n.mu.Unlock()
 		return
 	}
-	if p.Dst < netif.GroupBase {
-		if sp, ok := n.slow[[2]core.HostID{p.Src, p.Dst}]; ok {
-			frac := float64(n.clk.Now().Sub(sp.start)) / float64(sp.over)
-			if frac >= 1 {
-				n.fi.partitioned.Inc()
-				n.mu.Unlock()
-				return
-			}
-			if frac > 0 && n.rng.Float64() < frac {
-				n.fi.slowPartitioned.Inc()
-				n.mu.Unlock()
-				return
-			}
+	if sp, ok := n.slow[[2]core.HostID{p.Src, p.Dst}]; ok {
+		frac := float64(n.clk.Now().Sub(sp.start)) / float64(sp.over)
+		if frac >= 1 {
+			n.fi.partitioned.Inc()
+			n.mu.Unlock()
+			return
+		}
+		if frac > 0 && n.rng.Float64() < frac {
+			n.fi.slowPartitioned.Inc()
+			n.mu.Unlock()
+			return
 		}
 	}
 	if n.ge != nil {
@@ -476,14 +474,6 @@ func (n *Network) RouteAvoiding(src, dst core.HostID, avoid []core.HostID) ([]co
 	}
 	return n.inner.Route(src, dst)
 }
-
-// AddGroup delegates to the inner substrate.
-func (n *Network) AddGroup(gid core.HostID, members []core.HostID) error {
-	return n.inner.AddGroup(gid, members)
-}
-
-// RemoveGroup delegates to the inner substrate.
-func (n *Network) RemoveGroup(gid core.HostID) { n.inner.RemoveGroup(gid) }
 
 // MTU delegates to the inner substrate.
 func (n *Network) MTU() int { return n.inner.MTU() }

@@ -37,10 +37,8 @@ func (s *stubNet) Route(a, b core.HostID) ([]core.HostID, error) {
 func (s *stubNet) PathCapability(core.HostID, core.HostID, int) (qos.Capability, error) {
 	return qos.Capability{MaxThroughput: 1e6}, nil
 }
-func (s *stubNet) AddGroup(core.HostID, []core.HostID) error { return nil }
-func (s *stubNet) RemoveGroup(core.HostID)                   {}
-func (s *stubNet) MTU() int                                  { return 0 }
-func (s *stubNet) Close()                                    {}
+func (s *stubNet) MTU() int { return 0 }
+func (s *stubNet) Close()   {}
 
 func pkt(flow core.VCID, prio netif.Priority, b byte) netif.Packet {
 	return netif.Packet{Src: 1, Dst: 2, Flow: flow, Prio: prio, Payload: []byte{b, b, b, b}}

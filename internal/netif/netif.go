@@ -90,19 +90,14 @@ type BatchSender interface {
 	SendBatch(ps []Packet) error
 }
 
-// GroupBase is the floor of the multicast group-address space: HostIDs at
-// or above it name groups, below it single hosts.
-const GroupBase core.HostID = 1 << 31
-
 // Network is the substrate contract. All methods are safe for concurrent
 // use. Implementations: *netem.Network (emulated links, exact per-hop
 // reservation) and *udpnet.Network (real UDP sockets, advisory local
 // admission).
 type Network interface {
-	// Send transmits one packet. Dst at or above GroupBase fans out to
-	// the members of that multicast group. Send enqueues and returns;
-	// delivery is asynchronous and may silently fail (loss, damage,
-	// queue overflow) exactly like a real network.
+	// Send transmits one packet to the single host p.Dst. Send enqueues
+	// and returns; delivery is asynchronous and may silently fail (loss,
+	// damage, queue overflow) exactly like a real network.
 	//
 	// Send borrows p.Payload: the bytes are the caller's again as soon as
 	// Send (or BatchSender.SendBatch) returns, and the transport encodes
@@ -121,10 +116,6 @@ type Network interface {
 	// resources already committed. The transport's QoS negotiation
 	// weakens requested specs against it.
 	PathCapability(src, dst core.HostID, pktSize int) (qos.Capability, error)
-	// AddGroup installs a multicast group (gid >= GroupBase).
-	AddGroup(gid core.HostID, members []core.HostID) error
-	// RemoveGroup removes a multicast group; unknown gids are ignored.
-	RemoveGroup(gid core.HostID)
 	// MTU returns the substrate's maximum payload size per packet in
 	// bytes; 0 means unbounded. Transport entities clamp their TPDU
 	// size so one TPDU always fits one substrate packet.

@@ -855,8 +855,7 @@ func SelectOrchestratingNode(descs []orch.VCDesc) (core.HostID, error) {
 // host is common to all of them. The interval-based regulation protocol
 // tolerates this — targets are OSDU counts and interval lengths, not
 // absolute times, so only the (bounded) per-interval clock-rate error of
-// each participant enters the loop; package clocksync measures the
-// residual offsets where an application wants them.
+// each participant enters the loop.
 func SelectAnyNode(descs []orch.VCDesc) (core.HostID, error) {
 	if len(descs) == 0 {
 		return 0, fmt.Errorf("hlo: no connections")

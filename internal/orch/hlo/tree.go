@@ -225,7 +225,7 @@ func (ta *TreeAgent) HostDown(h core.HostID) []session.ReparentResult {
 
 	// Choose a survivor per member (budgets shift as members land, so the
 	// choice is re-made per orphan), then adopt survivor by survivor.
-	groups := make(map[core.HostID][]*TreeMember)
+	byParent := make(map[core.HostID][]*TreeMember)
 	var order []core.HostID
 	var results []session.ReparentResult
 	for _, m := range orphans {
@@ -240,15 +240,15 @@ func (ta *TreeAgent) HostDown(h core.HostID) []session.ReparentResult {
 			results = append(results, ta.abandon(m, err))
 			continue
 		}
-		if len(groups[parent]) == 0 {
+		if len(byParent[parent]) == 0 {
 			order = append(order, parent)
 		}
-		groups[parent] = append(groups[parent], m)
+		byParent[parent] = append(byParent[parent], m)
 	}
 
 	rp := session.NewReparenter(ta.clk, ta.pol.Reparent)
 	for _, parent := range order {
-		ms := groups[parent]
+		ms := byParent[parent]
 		sp, egressTSAP, err := ta.splice(parent)
 		if err != nil {
 			for _, m := range ms {

@@ -49,10 +49,8 @@ func (h *benchHub) SetHandler(id core.HostID, fn netif.Handler) error {
 func (h *benchHub) Route(s, d core.HostID) ([]core.HostID, error) {
 	return []core.HostID{s, d}, nil
 }
-func (h *benchHub) AddGroup(core.HostID, []core.HostID) error { return nil }
-func (h *benchHub) RemoveGroup(core.HostID)                   {}
-func (h *benchHub) MTU() int                                  { return 0 }
-func (h *benchHub) Close()                                    {}
+func (h *benchHub) MTU() int { return 0 }
+func (h *benchHub) Close()   {}
 func (h *benchHub) PathCapability(src, dst core.HostID, pktSize int) (qos.Capability, error) {
 	return qos.Capability{MaxThroughput: 1e12}, nil
 }

@@ -29,8 +29,6 @@ func (f *fakeNet) Send(p netif.Packet) error {
 }
 func (f *fakeNet) SetHandler(core.HostID, netif.Handler) error   { return nil }
 func (f *fakeNet) Route(s, d core.HostID) ([]core.HostID, error) { return []core.HostID{s, d}, nil }
-func (f *fakeNet) AddGroup(core.HostID, []core.HostID) error     { return nil }
-func (f *fakeNet) RemoveGroup(core.HostID)                       {}
 func (f *fakeNet) MTU() int                                      { return 0 }
 func (f *fakeNet) Close()                                        {}
 func (f *fakeNet) PathCapability(src, dst core.HostID, pktSize int) (qos.Capability, error) {

@@ -272,9 +272,11 @@ func (e *Entity) Disconnect(vc core.VCID, reason core.Reason) error {
 	}
 	e.trace("source", core.TDisconnectRequest)
 	s.teardown()
-	e.sendCtl(s.tuple.Dest.Host, &pdu.Control{
-		Kind: pdu.KindDiscReq, VC: vc, Tuple: s.tuple, Reason: reason,
-	})
+	for _, dst := range s.members {
+		e.sendCtl(dst, &pdu.Control{
+			Kind: pdu.KindDiscReq, VC: vc, Tuple: s.tuple, Reason: reason,
+		})
+	}
 	return nil
 }
 

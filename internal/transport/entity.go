@@ -40,7 +40,6 @@ type Entity struct {
 	recvs      map[core.VCID]*RecvVC
 	nextVC     uint32
 	nextTok    uint32
-	nextGroup  uint32
 	pending    map[uint32]chan *pdu.Control
 	served     map[servedKey]*servedEntry // remote-connect replay cache
 	servedQ    []servedKey                // insertion order, for eviction
@@ -715,9 +714,9 @@ func (e *Entity) dropRecv(r *RecvVC) {
 }
 
 // peerAddLocked indexes a live VC under the remote peer it depends on;
-// caller holds mu. Self- and group-addressed VCs are not peers.
+// caller holds mu. Self-addressed VCs are not peers.
 func (e *Entity) peerAddLocked(peer core.HostID, vc core.VCID) {
-	if peer == e.host || peer >= netif.GroupBase {
+	if peer == e.host {
 		return
 	}
 	m := e.peerVCs[peer]

@@ -5,10 +5,9 @@ import (
 	"time"
 
 	"cmtos/internal/core"
-	"cmtos/internal/netem"
+	"cmtos/internal/netif"
 	"cmtos/internal/netif/faultnet"
 	"cmtos/internal/qos"
-	"cmtos/internal/resv"
 )
 
 // faultRig is a rig whose entities send through a fault injector, so
@@ -20,34 +19,12 @@ type faultRig struct {
 
 func newFaultRig(t *testing.T, n int, cfg Config) *faultRig {
 	t.Helper()
-	nw := netem.New(sys)
-	for id := core.HostID(1); id <= core.HostID(n); id++ {
-		if err := nw.AddHost(id, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for a := core.HostID(1); a <= core.HostID(n); a++ {
-		for b := a + 1; b <= core.HostID(n); b++ {
-			if err := nw.AddLink(a, b, fastLink()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := nw.Start(); err != nil {
-		t.Fatal(err)
-	}
-	fn := faultnet.Wrap(nw, faultnet.Options{Seed: 11, Clock: sys})
-	t.Cleanup(fn.Close)
-	rm := resv.New(nw)
-	r := &rig{net: nw, rm: rm, ent: make(map[core.HostID]*Entity)}
-	for id := core.HostID(1); id <= core.HostID(n); id++ {
-		e, err := NewEntity(id, sys, fn, rm, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(e.Close)
-		r.ent[id] = e
-	}
+	var fn *faultnet.Network
+	r := newRigVia(t, n, fastLink(), cfg, func(nw netif.Network) netif.Network {
+		fn = faultnet.Wrap(nw, faultnet.Options{Seed: 11, Clock: sys})
+		t.Cleanup(fn.Close)
+		return fn
+	})
 	return &faultRig{rig: r, fault: fn}
 }
 

@@ -4,15 +4,14 @@ import (
 	"fmt"
 
 	"cmtos/internal/core"
-	"cmtos/internal/netif"
 	"cmtos/internal/pdu"
 	"cmtos/internal/qos"
 	"cmtos/internal/resv"
 )
 
 // ConnectMulticast establishes the simple 1:N CM topology of §3.8: one
-// send VC whose data TPDUs fan out to every destination through a network
-// group address. Each destination runs the normal confirmed establishment
+// send VC whose data TPDUs fan out to every destination as one unicast
+// packet per member, all under the VC's id. Each destination runs the normal confirmed establishment
 // (T-Connect.indication at its user, counter-negotiation), and the final
 // contract is the weakest the group can sustain, so the connections
 // "maintain a compatible temporal transmission rate".
@@ -110,23 +109,15 @@ func (e *Entity) ConnectMulticast(req ConnectRequest, dests []core.Addr) (*SendV
 		}
 	}
 
-	// Register the group and build the send side addressed to it.
-	gid := e.allocGroup()
-	members := make([]core.HostID, len(dests))
-	for i, d := range dests {
-		members[i] = d.Host
-	}
-	if err := e.net.AddGroup(gid, members); err != nil {
-		release()
-		return nil, err
-	}
-	tup := core.ConnectTuple{
-		Initiator: src, Source: src,
-		Dest: core.Addr{Host: gid, TSAP: 0},
-	}
+	// The send side has no single destination (a zero Dest, so no peer
+	// index entry either): it sends to each member.
+	tup := core.ConnectTuple{Initiator: src, Source: src}
 	s := newSendVC(e, vc, tup, req.Profile, req.Class, contract, 0)
 	s.resvExtra = resvIDs
-	s.group = gid
+	s.members = make([]core.HostID, len(dests))
+	for i, d := range dests {
+		s.members[i] = d.Host
+	}
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -135,7 +126,6 @@ func (e *Entity) ConnectMulticast(req ConnectRequest, dests []core.Addr) (*SendV
 		return nil, ErrClosed
 	}
 	e.sends[vc] = s
-	e.peerAddLocked(s.tuple.Dest.Host, vc)
 	e.mu.Unlock()
 	s.start()
 	e.trace("initiator", core.TConnectConfirm)
@@ -143,12 +133,4 @@ func (e *Entity) ConnectMulticast(req ConnectRequest, dests []core.Addr) (*SendV
 		u.OnSendReady(s)
 	}
 	return s, nil
-}
-
-// allocGroup returns a fresh multicast group address for this entity.
-func (e *Entity) allocGroup() core.HostID {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.nextGroup++
-	return netif.GroupBase | core.HostID(uint32(e.host)<<16|e.nextGroup&0xFFFF)
 }

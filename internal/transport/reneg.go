@@ -19,7 +19,7 @@ import (
 // the existing VC is NOT torn down and keeps its previous contract.
 func (s *SendVC) Renegotiate(spec qos.Spec) (qos.Contract, error) {
 	e := s.e
-	if s.group != 0 {
+	if s.tuple.Dest.Host == 0 { // multicast: no single destination to renegotiate with
 		return qos.Contract{}, fmt.Errorf("transport: re-negotiation of multicast VCs is not supported")
 	}
 	e.trace("initiator", core.TRenegotiateRequest)

@@ -38,8 +38,8 @@ type SendVC struct {
 	profile   qos.Profile
 	class     qos.Class
 	resvID    resv.ID
-	resvExtra []resv.ID   // multicast: one reservation per branch
-	group     core.HostID // multicast group address (0 = unicast)
+	resvExtra []resv.ID     // multicast: one reservation per branch
+	members   []core.HostID // every TPDU goes to each: the sink, or each multicast member
 
 	ring *cbuf.Ring
 
@@ -158,6 +158,7 @@ func newSendVC(e *Entity, id core.VCID, tup core.ConnectTuple, profile qos.Profi
 		sh:      e.shardFor(id),
 		id:      id,
 		tuple:   tup,
+		members: []core.HostID{tup.Dest.Host},
 		profile: profile,
 		class:   class,
 		resvID:  resvID,
@@ -686,17 +687,20 @@ func (s *SendVC) nextTPDUSeqLocked() uint64 {
 	return s.tpduSeq
 }
 
-// transmit puts one encoded TPDU on the wire at the VC's priority. The
-// substrate borrows tpdu only until Send returns.
+// transmit puts one encoded TPDU on the wire at the VC's priority, one
+// unicast packet per member: the members share the VC id, so each gets
+// the same bytes. The substrate borrows tpdu only until Send returns.
 func (s *SendVC) transmit(tpdu []byte) {
 	prio := netif.PrioGuaranteed
 	if s.Contract().Guarantee == qos.BestEffort {
 		prio = netif.PrioBestEffort
 	}
-	_ = s.e.net.Send(netif.Packet{
-		Src: s.tuple.Source.Host, Dst: s.tuple.Dest.Host,
-		Flow: s.id, Prio: prio, Payload: tpdu,
-	})
+	for _, dst := range s.members {
+		_ = s.e.net.Send(netif.Packet{
+			Src: s.tuple.Source.Host, Dst: dst,
+			Flow: s.id, Prio: prio, Payload: tpdu,
+		})
+	}
 }
 
 // retransmit re-sends a retransmit entry's stored bytes — byte-identical
@@ -922,9 +926,6 @@ func (s *SendVC) teardown() {
 		}
 		for _, id := range s.resvExtra {
 			_ = s.e.rm.Release(id)
-		}
-		if s.group != 0 {
-			s.e.net.RemoveGroup(s.group)
 		}
 		s.e.dropSend(s)
 		s.sh.post(shardEvent{kind: evCloseSend, send: s})

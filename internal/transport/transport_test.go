@@ -11,6 +11,8 @@ import (
 	"cmtos/internal/clock"
 	"cmtos/internal/core"
 	"cmtos/internal/netem"
+	"cmtos/internal/netif"
+	"cmtos/internal/netif/faultnet"
 	"cmtos/internal/pdu"
 	"cmtos/internal/qos"
 	"cmtos/internal/resv"
@@ -29,6 +31,13 @@ type rig struct {
 // entity (with cfg) on each.
 func newRig(t *testing.T, n int, link netem.LinkConfig, cfg Config) *rig {
 	t.Helper()
+	return newRigVia(t, n, link, cfg, nil)
+}
+
+// newRigVia is newRig with every entity sending through via(mesh) — a
+// fault injector or a recording wrapper; nil means the mesh itself.
+func newRigVia(t *testing.T, n int, link netem.LinkConfig, cfg Config, via func(netif.Network) netif.Network) *rig {
+	t.Helper()
 	nw := netem.New(sys)
 	for id := core.HostID(1); id <= core.HostID(n); id++ {
 		if err := nw.AddHost(id, nil); err != nil {
@@ -46,10 +55,14 @@ func newRig(t *testing.T, n int, link netem.LinkConfig, cfg Config) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(nw.Close)
+	var sub netif.Network = nw
+	if via != nil {
+		sub = via(nw)
+	}
 	rm := resv.New(nw)
 	r := &rig{net: nw, rm: rm, ent: make(map[core.HostID]*Entity)}
 	for id := core.HostID(1); id <= core.HostID(n); id++ {
-		e, err := NewEntity(id, sys, nw, rm, cfg)
+		e, err := NewEntity(id, sys, sub, rm, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1258,6 +1271,236 @@ func TestMulticastRestrictions(t *testing.T) {
 	// A rejected multicast VC never went live.
 	if _, ok := r.ent[1].SourceVC(0); ok {
 		t.Fatal("phantom VC registered")
+	}
+}
+
+// connectMulticast attaches tsap at every member host and opens a
+// multicast VC from host 1 to all of them; onDisc, when non-nil, is each
+// member's T-Disconnect.indication. It returns each member's sink handle.
+func connectMulticast(t *testing.T, r *rig, tsap core.TSAP, members []core.HostID, onDisc func(core.HostID, core.Reason)) (*SendVC, map[core.HostID]*RecvVC) {
+	t.Helper()
+	recvCh := make(chan *RecvVC, len(members))
+	dests := make([]core.Addr, len(members))
+	for i, host := range members {
+		cb := UserCallbacks{OnRecvReady: func(rv *RecvVC) { recvCh <- rv }}
+		if onDisc != nil {
+			cb.OnDisconnect = func(_ core.VCID, reason core.Reason, _ bool) { onDisc(host, reason) }
+		}
+		if err := r.ent[host].Attach(tsap, cb); err != nil {
+			t.Fatal(err)
+		}
+		dests[i] = core.Addr{Host: host, TSAP: tsap}
+	}
+	s, err := r.ent[1].ConnectMulticast(ConnectRequest{
+		SrcTSAP: 10, Class: qos.ClassDetectIndicate,
+		Profile: qos.ProfileCMRate, Spec: cmSpec(),
+	}, dests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rvs := make(map[core.HostID]*RecvVC, len(members))
+	for range members {
+		select {
+		case rv := <-recvCh:
+			rvs[rv.Tuple().Dest.Host] = rv
+		case <-time.After(2 * time.Second):
+			t.Fatalf("only %d of %d sink handles arrived", len(rvs), len(members))
+		}
+	}
+	return s, rvs
+}
+
+// writeSeqs writes OSDUs from..to-1, each carrying its own number.
+func writeSeqs(s *SendVC, from, to int) {
+	for i := from; i < to; i++ {
+		if _, err := s.Write([]byte(fmt.Sprintf("mc-%03d", i)), 0); err != nil {
+			return
+		}
+	}
+}
+
+// readSeqs reads every given sink concurrently (slowest-member flow
+// control stalls a sequential drain) and fails unless each delivers
+// exactly OSDUs from..to-1 in order.
+func readSeqs(t *testing.T, rvs []*RecvVC, from, to int) {
+	t.Helper()
+	errCh := make(chan error, len(rvs))
+	for _, rv := range rvs {
+		go func(rv *RecvVC) {
+			for i := from; i < to; i++ {
+				u, err := rv.Read()
+				if err != nil {
+					errCh <- err
+					return
+				}
+				if want := fmt.Sprintf("mc-%03d", i); u.Seq != core.OSDUSeq(i) || string(u.Payload) != want {
+					errCh <- fmt.Errorf("sink %v: seq %d %q, want %d %q", rv.Tuple().Dest.Host, u.Seq, u.Payload, i, want)
+					return
+				}
+			}
+			errCh <- nil
+		}(rv)
+	}
+	for range rvs {
+		select {
+		case err := <-errCh:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("multicast drain stalled")
+		}
+	}
+}
+
+// TestMulticastFaultsApplyPerMember cuts one member off a multicast VC:
+// the fault injector sees one unicast packet per member, so the cut
+// member gets nothing new while the other keeps exact in-order delivery.
+func TestMulticastFaultsApplyPerMember(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cut  func(f *faultnet.Network)
+	}{
+		{"partition", func(f *faultnet.Network) { f.Partition(1, 3) }},
+		{"crash", func(f *faultnet.Network) { f.Crash(3) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fr := newFaultRig(t, 3, Config{})
+			s, rvs := connectMulticast(t, fr.rig, 44, []core.HostID{2, 3}, nil)
+			go writeSeqs(s, 0, 10)
+			readSeqs(t, []*RecvVC{rvs[2], rvs[3]}, 0, 10)
+
+			tc.cut(fr.fault)
+			go writeSeqs(s, 10, 30)
+			readSeqs(t, []*RecvVC{rvs[2]}, 10, 30)
+			time.Sleep(50 * time.Millisecond) // anything still in flight to 3 lands
+			if u, ok, _ := rvs[3].TryRead(); ok {
+				t.Fatalf("cut member received OSDU %d after the cut", u.Seq)
+			}
+		})
+	}
+}
+
+// TestMulticastCloseIndicatesEveryMember: releasing a multicast VC sends
+// the disconnect to each member, and each raises T-Disconnect.indication.
+func TestMulticastCloseIndicatesEveryMember(t *testing.T) {
+	r := newRig(t, 4, fastLink(), Config{})
+	type ind struct {
+		host   core.HostID
+		reason core.Reason
+	}
+	inds := make(chan ind, 3)
+	s, _ := connectMulticast(t, r, 45, []core.HostID{2, 3, 4}, func(h core.HostID, reason core.Reason) {
+		inds <- ind{h, reason}
+	})
+	if err := s.Close(core.ReasonUserInitiated); err != nil {
+		t.Fatal(err)
+	}
+	seen := map[core.HostID]bool{}
+	for len(seen) < 3 {
+		select {
+		case in := <-inds:
+			if in.reason != core.ReasonUserInitiated {
+				t.Fatalf("member %v: reason %v", in.host, in.reason)
+			}
+			seen[in.host] = true
+		case <-time.After(2 * time.Second):
+			t.Fatalf("T-Disconnect.indication reached only %v", seen)
+		}
+	}
+}
+
+// TestMulticastRenegotiateRefused: a multicast contract is fixed at
+// establishment; renegotiation fails and changes nothing at either end.
+func TestMulticastRenegotiateRefused(t *testing.T) {
+	r := newRig(t, 3, fastLink(), Config{})
+	s, rvs := connectMulticast(t, r, 46, []core.HostID{2, 3}, nil)
+	before := s.Contract()
+	spec := cmSpec()
+	spec.Throughput.Preferred /= 2
+	if _, err := s.Renegotiate(spec); err == nil {
+		t.Fatal("multicast renegotiation accepted")
+	}
+	if got := s.Contract(); got != before {
+		t.Fatalf("source contract %+v, want %+v", got, before)
+	}
+	for h, rv := range rvs {
+		if got := rv.Contract(); got != before {
+			t.Fatalf("member %v contract %+v, want %+v", h, got, before)
+		}
+	}
+}
+
+// dataTap is a substrate wrapper that records every data TPDU handed to
+// it, copying the payload Send only borrows.
+type dataTap struct {
+	netif.Network
+	mu   sync.Mutex
+	data []netif.Packet
+}
+
+func (d *dataTap) Send(p netif.Packet) error {
+	if k, _ := pdu.PeekKind(p.Payload); k == pdu.KindData {
+		d.mu.Lock()
+		q := p
+		q.Payload = bytes.Clone(p.Payload)
+		d.data = append(d.data, q)
+		d.mu.Unlock()
+	}
+	return d.Network.Send(p)
+}
+
+func (d *dataTap) flow(vc core.VCID) []netif.Packet {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	var out []netif.Packet
+	for _, p := range d.data {
+		if p.Flow == vc {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestFanOutOneSendPerMember counts substrate Sends: a unicast VC makes
+// one per TPDU, and a 3-member multicast VC makes three — one per member,
+// byte-identical, tagged with the shared VC id.
+func TestFanOutOneSendPerMember(t *testing.T) {
+	tap := &dataTap{}
+	r := newRigVia(t, 4, fastLink(), Config{}, func(nw netif.Network) netif.Network {
+		tap.Network = nw
+		return tap
+	})
+	const n = 20
+
+	uni, rv := connectPair(t, r, qos.ClassDetectIndicate, qos.ProfileCMRate, cmSpec())
+	go writeSeqs(uni, 0, n)
+	readSeqs(t, []*RecvVC{rv}, 0, n)
+	pkts := tap.flow(uni.ID())
+	if len(pkts) != n {
+		t.Fatalf("unicast: %d data Sends for %d TPDUs", len(pkts), n)
+	}
+	for _, p := range pkts {
+		if p.Dst != 2 {
+			t.Fatalf("unicast: data sent to %v", p.Dst)
+		}
+	}
+
+	members := []core.HostID{2, 3, 4}
+	mc, rvs := connectMulticast(t, r, 47, members, nil)
+	go writeSeqs(mc, 0, n)
+	readSeqs(t, []*RecvVC{rvs[2], rvs[3], rvs[4]}, 0, n)
+	pkts = tap.flow(mc.ID())
+	if len(pkts) != n*len(members) {
+		t.Fatalf("multicast: %d data Sends for %d TPDUs x %d members", len(pkts), n, len(members))
+	}
+	for i := 0; i < n; i++ {
+		trio := pkts[i*len(members) : (i+1)*len(members)]
+		for j, p := range trio {
+			if p.Dst != members[j] || p.Flow != mc.ID() || !bytes.Equal(p.Payload, trio[0].Payload) {
+				t.Fatalf("TPDU %d copy %d: dst %v flow %v, identical %v", i, j, p.Dst, p.Flow, bytes.Equal(p.Payload, trio[0].Payload))
+			}
+		}
 	}
 }
 

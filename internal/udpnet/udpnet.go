@@ -54,6 +54,7 @@ import (
 	"net"
 	"net/netip"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -374,8 +375,7 @@ type Network struct {
 
 	handler atomic.Pointer[netif.Handler]
 
-	mu      sync.Mutex // guards writes to peers, plus groups/avail/damage/rng
-	groups  map[core.HostID][]core.HostID
+	mu      sync.Mutex // guards writes to peers, plus avail/damage/rng
 	avail   func(src, dst core.HostID) float64
 	damageP atomic.Uint64 // math.Float64bits of the damage probability
 	rng     *rand.Rand
@@ -416,6 +416,33 @@ var (
 	_ netif.BatchSender = (*Network)(nil)
 )
 
+// listenFirst binds the first receive shard. A port-0 request with
+// reuseport cannot be left to the kernel: Linux may autobind it to a port
+// another reuseport group already holds, and the two hosts would split
+// each other's datagrams. Instead a plain socket, which is never given a
+// port in use, picks the port and is closed, and the reuseport socket
+// binds that number. This narrows the race but does not close it: the
+// retry on EADDRINUSE only catches a non-reuseport socket that took the
+// port in between; a reuseport socket of the same user binds it too.
+func listenFirst(listen string, reuseport bool) (*net.UDPConn, error) {
+	host, port, err := net.SplitHostPort(listen)
+	if err != nil || !reuseport || port != "0" {
+		return listenShared(listen, reuseport)
+	}
+	for try := 0; ; try++ {
+		probe, err := listenShared(listen, false)
+		if err != nil {
+			return nil, err
+		}
+		picked := probe.LocalAddr().(*net.UDPAddr).Port
+		probe.Close()
+		conn, err := listenShared(net.JoinHostPort(host, strconv.Itoa(picked)), true)
+		if err == nil || try == 7 || !errors.Is(err, syscall.EADDRINUSE) {
+			return conn, err
+		}
+	}
+}
+
 // New binds the sockets and starts the substrate's per-shard sender,
 // receiver and delivery goroutines.
 func New(cfg Config) (*Network, error) {
@@ -424,10 +451,9 @@ func New(cfg Config) (*Network, error) {
 		return nil, errors.New("udpnet: Local host ID required")
 	}
 	n := &Network{
-		cfg:    cfg,
-		clk:    cfg.Clock,
-		groups: make(map[core.HostID][]core.HostID),
-		rng:    rand.New(rand.NewSource(1)),
+		cfg: cfg,
+		clk: cfg.Clock,
+		rng: rand.New(rand.NewSource(1)),
 	}
 	peers := make(map[core.HostID]netip.AddrPort)
 	n.peers.Store(&peers)
@@ -438,7 +464,7 @@ func New(cfg Config) (*Network, error) {
 	// join its concrete port. Send shards bind ephemeral ports on the
 	// same interface: their traffic carries the advertised port in the
 	// wire header, so peers still reply to the reuseport group.
-	first, err := listenShared(cfg.Listen, cfg.RecvShards > 1)
+	first, err := listenFirst(cfg.Listen, cfg.RecvShards > 1)
 	if err != nil {
 		return nil, fmt.Errorf("udpnet: %w", err)
 	}
@@ -662,25 +688,6 @@ func (n *Network) PathCapability(src, dst core.HostID, pktSize int) (qos.Capabil
 	}, nil
 }
 
-// AddGroup installs a multicast group; the sender fans out one unicast
-// datagram per member (real IP multicast is out of scope).
-func (n *Network) AddGroup(gid core.HostID, members []core.HostID) error {
-	if gid < netif.GroupBase {
-		return fmt.Errorf("udpnet: group id %v below GroupBase", gid)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups[gid] = append([]core.HostID(nil), members...)
-	return nil
-}
-
-// RemoveGroup removes a multicast group.
-func (n *Network) RemoveGroup(gid core.HostID) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	delete(n.groups, gid)
-}
-
 // MTU returns the payload bound per packet.
 func (n *Network) MTU() int { return n.cfg.MTU }
 
@@ -696,28 +703,10 @@ func (n *Network) sendShard(flow core.VCID, dst core.HostID) *shard {
 	return n.send[h%uint32(len(n.send))]
 }
 
-// Send enqueues one packet at its priority. Group destinations fan out
-// to every member. Delivery is asynchronous and unreliable, like the
-// network underneath. The payload is copied into a wire buffer before
+// Send enqueues one packet at its priority. Delivery is asynchronous and
+// unreliable, like the network underneath. The payload is copied into a wire buffer before
 // Send returns, so the caller may reuse it immediately.
 func (n *Network) Send(p netif.Packet) error {
-	if p.Dst >= netif.GroupBase {
-		n.mu.Lock()
-		members, ok := n.groups[p.Dst]
-		n.mu.Unlock()
-		if !ok {
-			return fmt.Errorf("udpnet: unknown group %v", p.Dst)
-		}
-		var firstErr error
-		for _, m := range members {
-			dup := p
-			dup.Dst = m
-			if err := n.Send(dup); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
 	s := n.sendShard(p.Flow, p.Dst)
 	out, err := n.prepare(s, p)
 	if err != nil {
@@ -730,8 +719,7 @@ func (n *Network) Send(p netif.Packet) error {
 
 // SendBatch enqueues many packets with one marshal pass and one queue
 // lock acquisition per shard per chunk — the netif.BatchSender fast
-// path. Group destinations fall back to Send's fan-out. Packets that
-// fail validation are skipped; the first such error is returned after
+// path. Packets that fail validation are skipped; the first such error is returned after
 // the rest of the batch has been enqueued.
 func (n *Network) SendBatch(ps []netif.Packet) error {
 	var firstErr error
@@ -746,12 +734,6 @@ func (n *Network) SendBatch(ps []netif.Packet) error {
 		ps = ps[len(chunk):]
 		k := 0
 		for _, p := range chunk {
-			if p.Dst >= netif.GroupBase {
-				if err := n.Send(p); err != nil && firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
 			s := n.sendShard(p.Flow, p.Dst)
 			out, err := n.prepare(s, p)
 			if err != nil {
@@ -1022,7 +1004,7 @@ func (s *shard) genericRecvLoop() {
 // from ephemeral ports, and replies must target the peer's SO_REUSEPORT
 // receive group, not whichever shard socket spoke last.
 func (n *Network) learnPeer(src core.HostID, from netip.AddrPort, advertised uint16) {
-	if src == 0 || src == n.cfg.Local || src >= netif.GroupBase {
+	if src == 0 || src == n.cfg.Local {
 		return
 	}
 	ap := from

@@ -314,3 +314,29 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Errorf("local send+deliver allocates %.1f per packet, want 0", got)
 	}
 }
+
+// TestReusePortAutobindDistinct opens many reuseport-sharded substrates on
+// port 0 at once. Each must get a port of its own: a port shared with
+// another host's reuseport group would split their datagrams.
+func TestReusePortAutobindDistinct(t *testing.T) {
+	if platformMaxRecvShards < 2 {
+		t.Skip("no SO_REUSEPORT receive sharding on this platform")
+	}
+	const hosts = 200
+	ports := make(map[int]bool, hosts)
+	for i := 0; i < hosts; i++ {
+		n, err := New(Config{Local: 1, Listen: "127.0.0.1:0", RecvShards: 2, SendShards: 1})
+		if err != nil {
+			if i == 0 {
+				t.Skipf("UDP sockets unavailable: %v", err)
+			}
+			t.Fatalf("host %d: New: %v", i, err)
+		}
+		defer n.Close()
+		port := n.Addr().Port
+		if ports[port] {
+			t.Fatalf("host %d: port %d already held by another host", i, port)
+		}
+		ports[port] = true
+	}
+}

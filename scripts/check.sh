@@ -14,6 +14,22 @@ fi
 
 go build ./...
 go vet ./...
+
+# Orphan packages: every internal package with non-test code must be
+# imported by some non-test file, or be allowlisted here, one line per
+# entry with its reason. Test-only packages (internal/soak) have no
+# GoFiles and are not listed.
+allow='
+cmtos/internal/netif/nettest  the substrate conformance suite: only tests import it
+'
+imported=$(go list -f '{{join .Imports "\n"}}' ./...)
+for pkg in $(go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./internal/...); do
+	if ! echo "$imported" | grep -qx "$pkg" && ! echo "$allow" | grep -q "^$pkg "; then
+		echo "orphan package: nothing outside tests imports $pkg" >&2
+		exit 1
+	fi
+done
+
 go test -race ./...
 
 # The end-to-end benchmark is a module of its own (bench/, with a replace
@@ -61,6 +77,12 @@ go test -race -count=1 -run='^TestPredictAB' ./internal/lab/
 # all drain to zero. CMTOS_SOAK=long (the nightly workflow) adds the
 # heavier fault regimes.
 go test -race -count=1 -run='^TestChaosSoak$' ./internal/soak/
+
+# Demo smoke: the runnable Fig. 6 regulation loop (lipsync, orchestration
+# off then on) and the Fig. 2/3 remote-connect scenario (microscope). Each
+# must exit cleanly within the minute.
+timeout 60 go run ./examples/lipsync >/dev/null
+timeout 60 go run ./examples/microscope >/dev/null
 
 # Benchmark smoke: three seconds of the per-packet workload, end to end
 # over loopback UDP with every OSDU verified on read. The last line is the
